@@ -196,8 +196,8 @@ int main() {
     for (const double load : loads) {
       SloPoint point;
       point.offered_per_sec = load;
-      point.result = scenario::run_workload(
-          slo_options(scenario, load, duration));
+      point.result =
+          scenario::run_soak(slo_options(scenario, load, duration));
       const scenario::SoakResult& r = point.result;
       all_ok = all_ok && r.ok();
       std::printf(
@@ -222,8 +222,8 @@ int main() {
   const scenario::SoakOptions repeat_options =
       slo_options(workload::Scenario::kFlashCrowd, loads[loads.size() / 2],
                   duration);
-  const scenario::SoakResult run_a = scenario::run_workload(repeat_options);
-  const scenario::SoakResult run_b = scenario::run_workload(repeat_options);
+  const scenario::SoakResult run_a = scenario::run_soak(repeat_options);
+  const scenario::SoakResult run_b = scenario::run_soak(repeat_options);
   const bool deterministic = run_a.stream_hash == run_b.stream_hash &&
                              run_a.metrics_json == run_b.metrics_json &&
                              run_a.trace_records == run_b.trace_records;

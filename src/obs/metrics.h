@@ -66,7 +66,7 @@ class Histogram {
 
   /// Folds another histogram's samples into this one. Both must share the
   /// same bucket bounds (asserted). Counts/sums add; min/max widen. Used
-  /// to aggregate per-worker registries after a sharded run.
+  /// to aggregate per-circuit registries after a fleet run.
   void merge_from(const Histogram& other);
 
  private:
@@ -106,10 +106,9 @@ class MetricsRegistry {
 
   /// Folds another registry into this one: counters add by name,
   /// histograms merge by name (creating missing instruments with the
-  /// source's bounds). Merging per-worker registries in a fixed worker
-  /// order yields identical counter totals for any shard count; histogram
-  /// double sums are deterministic per shard count (float addition
-  /// reorders across pinnings).
+  /// source's bounds). A fleet merges its per-circuit registries in
+  /// circuit order, so the merged snapshot, histogram float sums included,
+  /// is the same for every shard count.
   void merge_from(const MetricsRegistry& other);
 
   [[nodiscard]] std::size_t counter_count() const noexcept {

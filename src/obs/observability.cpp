@@ -4,10 +4,18 @@
 
 namespace netco::obs {
 
+namespace {
+
+thread_local Observability* current = nullptr;
+
+}  // namespace
+
 Observability& global() noexcept {
-  thread_local Observability instance;
-  return instance;
+  thread_local Observability own;
+  return current != nullptr ? *current : own;
 }
+
+void set_current(Observability* context) noexcept { current = context; }
 
 std::unique_ptr<JsonlFileSink> trace_sink_from_env() {
   const char* path = std::getenv("NETCO_TRACE_OUT");

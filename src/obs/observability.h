@@ -1,16 +1,18 @@
-// Per-thread observability context: one Tracer + one MetricsRegistry.
+// Observability context: one Tracer + one MetricsRegistry.
 //
-// Each simulation shard is single-threaded and owns its whole component
-// graph, so a *thread-local* context keeps the wiring trivial: components
-// grab their instruments at construction (on the worker thread that built
-// them — sim/shard.h runs cell factories on the pinned worker) and the
-// Tracer's null-sink check is the entire disabled-path cost. For the
-// classic single-threaded harnesses nothing changes: main's context is
-// the only one that exists. Sharded harnesses merge worker registries
-// into an aggregate via MetricsRegistry::merge_from at worker exit
-// (scenario/sharded_soak.cpp). Tests install a RingBufferSink via the
-// RAII ScopedTraceSink; benches install a JSONL sink when NETCO_TRACE_OUT
-// names a file (see trace_sink_from_env()).
+// Components look their context up once, at construction (obs::global()),
+// and keep the pointer; the Tracer's null-sink check is then the entire
+// disabled-path cost. global() is the calling thread's *current* context:
+// the thread's own thread-local one unless set_current() installed
+// another. The classic single-threaded harnesses never switch, so main's
+// context is the only one they see. A fleet cell (scenario/circuit.h)
+// owns a context of its own and makes it current while its circuit is
+// built, before each of its windows and while it finalizes, so every
+// circuit of a sharded run has its own registry and trace sink; the fleet
+// merges the registries in circuit order (MetricsRegistry::merge_from).
+// Tests install a RingBufferSink via the RAII ScopedTraceSink; benches
+// install a JSONL sink when NETCO_TRACE_OUT names a file (see
+// trace_sink_from_env()).
 #pragma once
 
 #include <memory>
@@ -26,10 +28,14 @@ struct Observability {
   MetricsRegistry metrics;
 };
 
-/// The calling thread's context (thread-local; see file comment).
+/// The calling thread's current context (see file comment).
 [[nodiscard]] Observability& global() noexcept;
 
-/// Installs `sink` on the calling thread's tracer for the current scope,
+/// Makes `context` the calling thread's current context; nullptr restores
+/// the thread's own. The caller keeps `context` alive while it is current.
+void set_current(Observability* context) noexcept;
+
+/// Installs `sink` on the current context's tracer for the current scope,
 /// restoring the previous sink (usually none) on destruction.
 class ScopedTraceSink {
  public:

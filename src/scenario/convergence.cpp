@@ -7,16 +7,14 @@
 
 #include "adversary/behaviors.h"
 #include "common/assert.h"
-#include "common/hash.h"
 #include "controller/static_routing.h"
 #include "device/network.h"
 #include "faultinject/invariants.h"
 #include "host/host.h"
 #include "iproute/legacy_router.h"
 #include "netco/combiner.h"
-#include "obs/observability.h"
 #include "openflow/switch.h"
-#include "sim/shard.h"
+#include "scenario/circuit.h"
 
 namespace netco::scenario {
 
@@ -60,9 +58,8 @@ faultinject::FaultKind fault_kind(RoutingAttack attack) {
   }
 }
 
-/// One diamond circuit on its own Simulator, exposing the ShardCell
-/// window protocol (driven by a run_until loop solo, or by a
-/// ShardedSimulator as a fleet).
+/// One diamond circuit on its own Simulator, exposing the window protocol
+/// of scenario/circuit.h.
 class ConvergenceCircuit {
  public:
   explicit ConvergenceCircuit(const ConvergenceOptions& options)
@@ -92,21 +89,18 @@ class ConvergenceCircuit {
     }
     data_end_ = sim::TimePoint::origin() + opts_.horizon - opts_.window * 2;
     send_probe();
-    cap_ = sim::TimePoint::origin() + opts_.window;
-    return cap_;
+    return sim::TimePoint::origin() + opts_.window;
   }
 
   sim::TimePoint on_window(sim::TimePoint committed) {
-    if (committed < cap_) return cap_;
     boundaries_.push_back(Boundary{.t_ns = committed.ns(),
                                    .sent = result_.data_sent,
                                    .delivered = delivered_.size(),
                                    .matched = tables_match()});
     if (committed + opts_.window > sim::TimePoint::origin() + opts_.horizon) {
-      return done_marker();
+      return sim::ShardCell::done_marker();
     }
-    cap_ = committed + opts_.window;
-    return cap_;
+    return committed + opts_.window;
   }
 
   void finalize() {
@@ -155,10 +149,6 @@ class ConvergenceCircuit {
 
   [[nodiscard]] ConvergenceResult take_result() {
     return std::move(result_);
-  }
-
-  [[nodiscard]] static constexpr sim::TimePoint done_marker() noexcept {
-    return sim::TimePoint::from_ns(INT64_MAX);
   }
 
  private:
@@ -433,103 +423,19 @@ class ConvergenceCircuit {
   std::uint32_t probe_seq_ = 0;
   std::unordered_set<std::uint32_t> delivered_;
   sim::TimePoint data_end_;
-  sim::TimePoint cap_;
   std::vector<Boundary> boundaries_;
   ConvergenceResult result_;
-};
-
-/// Adapts a circuit to the ShardCell protocol (fleet runs).
-class ConvergenceCell final : public sim::ShardCell {
- public:
-  ConvergenceCell(const ConvergenceOptions& options, ConvergenceResult* out)
-      : circuit_(options), out_(out) {}
-
-  [[nodiscard]] sim::Simulator& simulator() noexcept override {
-    return circuit_.simulator();
-  }
-
-  sim::TimePoint start() override {
-    cap_ = circuit_.start();
-    return cap_;
-  }
-
-  void before_window() override {
-    obs::global().tracer.set_sink(&circuit_.trace_sink());
-  }
-
-  sim::TimePoint on_window(sim::TimePoint committed) override {
-    if (committed < cap_) return cap_;
-    cap_ = circuit_.on_window(committed);
-    return cap_;
-  }
-
-  void finalize() override {
-    obs::global().tracer.set_sink(&circuit_.trace_sink());
-    circuit_.finalize();
-    obs::global().tracer.set_sink(nullptr);
-    *out_ = circuit_.take_result();
-  }
-
- private:
-  ConvergenceCircuit circuit_;
-  ConvergenceResult* out_;
-  sim::TimePoint cap_;
 };
 
 }  // namespace
 
 ConvergenceResult run_convergence(const ConvergenceOptions& options) {
-  ConvergenceCircuit circuit(options);
-  obs::ScopedTraceSink scoped(circuit.trace_sink());
-  sim::TimePoint cap = circuit.start();
-  while (cap != ConvergenceCircuit::done_marker()) {
-    circuit.simulator().run_until(cap);
-    cap = circuit.on_window(cap);
-  }
-  circuit.finalize();
-  return circuit.take_result();
+  return run_circuit<ConvergenceCircuit>(options);
 }
 
-ConvergenceFleetResult run_convergence_fleet(const ConvergenceOptions& base,
-                                             std::size_t circuits,
-                                             int shards) {
-  NETCO_ASSERT(circuits >= 1);
-  NETCO_ASSERT(shards >= 1);
-  ConvergenceFleetResult out;
-  out.circuits.resize(circuits);
-
-  sim::ShardedSimulator::Options sim_opts;
-  sim_opts.workers = shards;
-  sim::ShardedSimulator sharded(sim_opts);
-  for (std::size_t i = 0; i < circuits; ++i) {
-    ConvergenceOptions circuit_options = base;
-    // Circuit 0 keeps the base seed exactly — a 1-circuit fleet must
-    // reproduce run_convergence(base) bit-for-bit.
-    if (i != 0) {
-      circuit_options.seed =
-          hash_mix(base.seed, static_cast<std::uint64_t>(i));
-    }
-    ConvergenceResult* slot = &out.circuits[i];
-    sharded.add_cell([circuit_options, slot] {
-      return std::make_unique<ConvergenceCell>(circuit_options, slot);
-    });
-  }
-  sharded.set_worker_prologue([](int) {
-    obs::global().metrics.reset();
-    obs::global().tracer.set_sink(nullptr);
-  });
-  sharded.run();
-
-  if (circuits == 1) {
-    out.merged_stream_hash = out.circuits[0].stream_hash;
-  } else {
-    std::uint64_t stream = kFnvOffset;
-    for (const ConvergenceResult& r : out.circuits) {
-      stream = hash_mix(stream, r.stream_hash);
-    }
-    out.merged_stream_hash = stream;
-  }
-  return out;
+FleetResult<ConvergenceResult> run_convergence_fleet(
+    const ConvergenceOptions& base, std::size_t circuits, int shards) {
+  return run_fleet<ConvergenceCircuit>(base, circuits, shards);
 }
 
 }  // namespace netco::scenario

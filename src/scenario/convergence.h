@@ -24,10 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "faultinject/fault_plan.h"
 #include "routing/rip.h"
+#include "scenario/circuit.h"
 #include "sim/time.h"
 
 namespace netco::scenario {
@@ -105,22 +105,16 @@ struct ConvergenceResult {
   std::uint64_t stream_hash = 0;
 };
 
-/// Runs one circuit on one thread. Same seed + options ⇒ same
-/// ConvergenceResult, including stream_hash.
+/// Runs one circuit on the calling thread (resetting the thread's current
+/// metrics registry). Same seed + options ⇒ same ConvergenceResult,
+/// including stream_hash.
 ConvergenceResult run_convergence(const ConvergenceOptions& options);
 
-/// A fleet of independent circuits on a ShardedSimulator.
-struct ConvergenceFleetResult {
-  std::vector<ConvergenceResult> circuits;  ///< indexed by circuit id
-  /// Per-circuit stream hashes folded in circuit order (identity for a
-  /// single circuit — reproduces run_convergence's hash exactly).
-  std::uint64_t merged_stream_hash = 0;
-};
-
-/// Circuit 0 runs base.seed exactly; circuit i > 0 runs
-/// hash_mix(base.seed, i). The merged hash is shard-count invariant.
-ConvergenceFleetResult run_convergence_fleet(const ConvergenceOptions& base,
-                                             std::size_t circuits,
-                                             int shards);
+/// A fleet of independent circuits on a ShardedSimulator (run_fleet() of
+/// scenario/circuit.h). Circuit 0 runs base.seed exactly; circuit i > 0
+/// runs hash_mix(base.seed, i). The merged hash and metrics snapshot are
+/// shard-count invariant.
+FleetResult<ConvergenceResult> run_convergence_fleet(
+    const ConvergenceOptions& base, std::size_t circuits, int shards);
 
 }  // namespace netco::scenario

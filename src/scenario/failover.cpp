@@ -1,18 +1,15 @@
 #include "scenario/failover.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 #include <utility>
 
 #include "common/assert.h"
-#include "common/hash.h"
 #include "faultinject/invariants.h"
 #include "host/host.h"
-#include "obs/observability.h"
 #include "openflow/switch.h"
-#include "sim/shard.h"
+#include "scenario/circuit.h"
 
 namespace netco::scenario {
 
@@ -22,9 +19,8 @@ namespace {
 /// flow, so the port alone identifies the flow on delivery.
 constexpr std::uint16_t kFlowPortBase = 7100;
 
-/// One fat-tree circuit on its own Simulator, exposing the ShardCell
-/// window protocol (driven by a run_until loop solo, or by a
-/// ShardedSimulator as a fleet).
+/// One fat-tree circuit on its own Simulator, exposing the window
+/// protocol of scenario/circuit.h.
 class FailoverCircuit {
  public:
   explicit FailoverCircuit(const FailoverOptions& options)
@@ -66,17 +62,14 @@ class FailoverCircuit {
               sim::Duration::nanoseconds(flows_[f].offset_ns),
           [this, f] { send_flow(f); });
     }
-    cap_ = sim::TimePoint::origin() + opts_.window;
-    return cap_;
+    return sim::TimePoint::origin() + opts_.window;
   }
 
   sim::TimePoint on_window(sim::TimePoint committed) {
-    if (committed < cap_) return cap_;
     if (committed + opts_.window > sim::TimePoint::origin() + opts_.horizon) {
-      return done_marker();
+      return sim::ShardCell::done_marker();
     }
-    cap_ = committed + opts_.window;
-    return cap_;
+    return committed + opts_.window;
   }
 
   void finalize() {
@@ -149,10 +142,6 @@ class FailoverCircuit {
   }
 
   [[nodiscard]] FailoverResult take_result() { return std::move(result_); }
-
-  [[nodiscard]] static constexpr sim::TimePoint done_marker() noexcept {
-    return sim::TimePoint::from_ns(INT64_MAX);
-  }
 
  private:
   struct Flow {
@@ -298,101 +287,19 @@ class FailoverCircuit {
   std::vector<std::uint64_t> delivered_w_;
 
   sim::TimePoint data_end_;
-  sim::TimePoint cap_;
   FailoverResult result_;
-};
-
-/// Adapts a circuit to the ShardCell protocol (fleet runs).
-class FailoverCell final : public sim::ShardCell {
- public:
-  FailoverCell(const FailoverOptions& options, FailoverResult* out)
-      : circuit_(options), out_(out) {}
-
-  [[nodiscard]] sim::Simulator& simulator() noexcept override {
-    return circuit_.simulator();
-  }
-
-  sim::TimePoint start() override {
-    cap_ = circuit_.start();
-    return cap_;
-  }
-
-  void before_window() override {
-    obs::global().tracer.set_sink(&circuit_.trace_sink());
-  }
-
-  sim::TimePoint on_window(sim::TimePoint committed) override {
-    if (committed < cap_) return cap_;
-    cap_ = circuit_.on_window(committed);
-    return cap_;
-  }
-
-  void finalize() override {
-    obs::global().tracer.set_sink(&circuit_.trace_sink());
-    circuit_.finalize();
-    obs::global().tracer.set_sink(nullptr);
-    *out_ = circuit_.take_result();
-  }
-
- private:
-  FailoverCircuit circuit_;
-  FailoverResult* out_;
-  sim::TimePoint cap_;
 };
 
 }  // namespace
 
 FailoverResult run_failover(const FailoverOptions& options) {
-  FailoverCircuit circuit(options);
-  obs::ScopedTraceSink scoped(circuit.trace_sink());
-  sim::TimePoint cap = circuit.start();
-  while (cap != FailoverCircuit::done_marker()) {
-    circuit.simulator().run_until(cap);
-    cap = circuit.on_window(cap);
-  }
-  circuit.finalize();
-  return circuit.take_result();
+  return run_circuit<FailoverCircuit>(options);
 }
 
-FailoverFleetResult run_failover_fleet(const FailoverOptions& base,
-                                       std::size_t circuits, int shards) {
-  NETCO_ASSERT(circuits >= 1);
-  NETCO_ASSERT(shards >= 1);
-  FailoverFleetResult out;
-  out.circuits.resize(circuits);
-
-  sim::ShardedSimulator::Options sim_opts;
-  sim_opts.workers = shards;
-  sim::ShardedSimulator sharded(sim_opts);
-  for (std::size_t i = 0; i < circuits; ++i) {
-    FailoverOptions circuit_options = base;
-    // Circuit 0 keeps the base seed exactly — a 1-circuit fleet must
-    // reproduce run_failover(base) bit-for-bit.
-    if (i != 0) {
-      circuit_options.seed =
-          hash_mix(base.seed, static_cast<std::uint64_t>(i));
-    }
-    FailoverResult* slot = &out.circuits[i];
-    sharded.add_cell([circuit_options, slot] {
-      return std::make_unique<FailoverCell>(circuit_options, slot);
-    });
-  }
-  sharded.set_worker_prologue([](int) {
-    obs::global().metrics.reset();
-    obs::global().tracer.set_sink(nullptr);
-  });
-  sharded.run();
-
-  if (circuits == 1) {
-    out.merged_stream_hash = out.circuits[0].stream_hash;
-  } else {
-    std::uint64_t stream = kFnvOffset;
-    for (const FailoverResult& r : out.circuits) {
-      stream = hash_mix(stream, r.stream_hash);
-    }
-    out.merged_stream_hash = stream;
-  }
-  return out;
+FleetResult<FailoverResult> run_failover_fleet(const FailoverOptions& base,
+                                               std::size_t circuits,
+                                               int shards) {
+  return run_fleet<FailoverCircuit>(base, circuits, shards);
 }
 
 }  // namespace netco::scenario

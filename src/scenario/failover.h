@@ -23,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "failover/failover_compiler.h"
 #include "faultinject/fabric_injector.h"
 #include "faultinject/fault_plan.h"
+#include "scenario/circuit.h"
 #include "sim/time.h"
 #include "topo/fattree.h"
 
@@ -106,21 +106,17 @@ struct FailoverResult {
   std::uint64_t stream_hash = 0;
 };
 
-/// Runs one circuit on one thread. Same seed + options ⇒ same
-/// FailoverResult, including stream_hash.
+/// Runs one circuit on the calling thread (resetting the thread's current
+/// metrics registry). Same seed + options ⇒ same FailoverResult,
+/// including stream_hash.
 FailoverResult run_failover(const FailoverOptions& options);
 
-/// A fleet of independent circuits on a ShardedSimulator.
-struct FailoverFleetResult {
-  std::vector<FailoverResult> circuits;  ///< indexed by circuit id
-  /// Per-circuit stream hashes folded in circuit order (identity for a
-  /// single circuit — reproduces run_failover's hash exactly).
-  std::uint64_t merged_stream_hash = 0;
-};
-
-/// Circuit 0 runs base.seed exactly; circuit i > 0 runs
-/// hash_mix(base.seed, i). The merged hash is shard-count invariant.
-FailoverFleetResult run_failover_fleet(const FailoverOptions& base,
-                                       std::size_t circuits, int shards);
+/// A fleet of independent circuits on a ShardedSimulator (run_fleet() of
+/// scenario/circuit.h). Circuit 0 runs base.seed exactly; circuit i > 0
+/// runs hash_mix(base.seed, i). The merged hash and metrics snapshot are
+/// shard-count invariant.
+FleetResult<FailoverResult> run_failover_fleet(const FailoverOptions& base,
+                                               std::size_t circuits,
+                                               int shards);
 
 }  // namespace netco::scenario

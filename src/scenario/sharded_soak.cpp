@@ -1,174 +1,20 @@
 #include "scenario/sharded_soak.h"
 
-#include <algorithm>
-#include <chrono>
-#include <memory>
-#include <utility>
+#include <optional>
 
-#include "common/assert.h"
-#include "common/hash.h"
-#include "link/link.h"
-#include "obs/observability.h"
 #include "scenario/soak_circuit.h"
-#include "sim/shard.h"
 
 namespace netco::scenario {
 
-namespace {
-
-/// Adapts a SoakCircuit to the ShardCell window protocol, plus the
-/// optional beacon transmitter that exercises the shard-crossing link
-/// path (link::Channel::bind_remote over a ShardChannel).
-class SoakCell final : public sim::ShardCell {
- public:
-  SoakCell(const SoakOptions& options, sim::ShardChannel* beacon_out,
-           std::uint64_t* peer_beacon_count, sim::Duration beacon_period,
-           SoakResult* out)
-      : circuit_(options), out_(out), beacon_period_(beacon_period) {
-    if (beacon_out != nullptr) {
-      // The beacon link's propagation doubles as the cross-shard
-      // lookahead: a cross-pod link is the latency that *buys* the
-      // parallelism, so it must cover the channel's declared bound.
-      link::LinkConfig cfg;
-      cfg.propagation = beacon_out->lookahead();
-      beacon_tx_ = std::make_unique<link::Channel>(circuit_.simulator(), cfg);
-      beacon_tx_->set_label("beacon");
-      // The delivery runs on the *receiving* cell's worker; bumping a
-      // plain counter slot owned by that receiver keeps it race-free.
-      beacon_tx_->bind_remote(*beacon_out, [peer_beacon_count](net::Packet) {
-        ++*peer_beacon_count;
-      });
-    }
-  }
-
-  [[nodiscard]] sim::Simulator& simulator() noexcept override {
-    return circuit_.simulator();
-  }
-
-  sim::TimePoint start() override {
-    if (beacon_tx_ != nullptr) schedule_beacon();
-    cap_ = circuit_.start();
-    return cap_;
-  }
-
-  void before_window() override {
-    // Every worker-thread window must route this circuit's records to
-    // this circuit's checker (cells sharing a worker share the
-    // thread-local tracer).
-    obs::global().tracer.set_sink(&circuit_.trace_sink());
-  }
-
-  sim::TimePoint on_window(sim::TimePoint committed) override {
-    // Neighbor-constrained horizon below our cap: just keep going. The
-    // circuit's own bookkeeping (audits, drain, stop) happens exactly on
-    // its audit-period boundaries regardless of horizon slicing.
-    if (committed < cap_) return cap_;
-    cap_ = circuit_.on_window(committed);
-    return cap_;
-  }
-
-  void finalize() override {
-    obs::global().tracer.set_sink(&circuit_.trace_sink());
-    circuit_.finalize();
-    obs::global().tracer.set_sink(nullptr);
-    *out_ = circuit_.take_result();
-  }
-
- private:
-  void schedule_beacon() {
-    // Fire-and-forget heartbeats for the whole run; events pending after
-    // the circuit finishes simply never execute.
-    circuit_.simulator().schedule_after(beacon_period_, [this] {
-      beacon_tx_->send(net::Packet::zeroed(64));
-      schedule_beacon();
-    });
-  }
-
-  SoakCircuit circuit_;
-  SoakResult* out_;
-  sim::Duration beacon_period_;
-  std::unique_ptr<link::Channel> beacon_tx_;
-  sim::TimePoint cap_;
-};
-
-}  // namespace
-
 ShardedSoakResult run_sharded_soak(const ShardedSoakOptions& options) {
-  NETCO_ASSERT(options.circuits >= 1);
-  NETCO_ASSERT(options.shards >= 1);
-  const std::size_t n = options.circuits;
-  const int workers = std::min<int>(options.shards, static_cast<int>(n));
-  const bool beacons_on = options.cross_shard_beacons && n > 1;
-  NETCO_ASSERT_MSG(!beacons_on || options.beacon_period > sim::Duration::zero(),
-                   "beacon period must be positive (it is the lookahead)");
-
   ShardedSoakResult out;
-  out.circuits.resize(n);
-  std::vector<std::uint64_t> beacons_received(n, 0);
-  std::vector<obs::MetricsRegistry> worker_metrics(
-      static_cast<std::size_t>(workers));
-
-  sim::ShardedSimulator::Options sim_opts;
-  sim_opts.workers = options.shards;
-  sim::ShardedSimulator sharded(sim_opts);
-
-  // Factories run on the pinned workers at run(); they capture the ring
-  // slots by reference so connect() below can fill them in afterwards.
-  std::vector<sim::ShardChannel*> ring(n, nullptr);
-  for (std::size_t i = 0; i < n; ++i) {
-    SoakOptions circuit_options = options.base;
-    // Circuit 0 keeps the base seed exactly — a 1-circuit fleet must
-    // reproduce run_soak(base) bit-for-bit.
-    if (i != 0) {
-      circuit_options.seed = hash_mix(options.base.seed,
-                                              static_cast<std::uint64_t>(i));
-    }
-    SoakResult* slot = &out.circuits[i];
-    std::uint64_t* peer_count = &beacons_received[(i + 1) % n];
-    const sim::Duration period = options.beacon_period;
-    sharded.add_cell([circuit_options, &ring, i, peer_count, period, slot] {
-      return std::make_unique<SoakCell>(circuit_options, ring[i], peer_count,
-                                        period, slot);
-    });
-  }
-  if (beacons_on) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ring[i] = &sharded.connect(i, (i + 1) % n, options.beacon_period);
-    }
-  }
-
-  sharded.set_worker_prologue([](int) {
-    // Fresh thread-local context per worker (mirrors run_soak's reset).
-    obs::global().metrics.reset();
-    obs::global().tracer.set_sink(nullptr);
-  });
-  sharded.set_worker_epilogue([&worker_metrics](int worker) {
-    worker_metrics[static_cast<std::size_t>(worker)].merge_from(
-        obs::global().metrics);
-  });
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  sharded.run();
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
-  // Canonical merges. The stream-hash fold is the identity for a single
-  // circuit, so a 1-circuit fleet exposes run_soak's exact hash.
-  if (n == 1) {
-    out.merged_stream_hash = out.circuits[0].stream_hash;
-    out.merged_egress_hash = out.circuits[0].egress_set_hash;
-  } else {
-    std::uint64_t stream = kFnvOffset;
-    std::uint64_t egress = kFnvOffset;
-    for (const SoakResult& r : out.circuits) {
-      stream = hash_mix(stream, r.stream_hash);
-      egress = hash_mix(egress, r.egress_set_hash);
-    }
-    out.merged_stream_hash = stream;
-    out.merged_egress_hash = egress;
-  }
+  FleetResult<SoakResult>& fleet = out;
+  fleet = run_fleet<SoakCircuit>(
+      options.base, options.circuits, options.shards,
+      options.cross_shard_beacons ? std::optional(options.beacon_period)
+                                  : std::nullopt);
+  out.merged_egress_hash =
+      fold_in_circuit_order(out.circuits, &SoakResult::egress_set_hash);
   for (const SoakResult& r : out.circuits) {
     out.datagrams_sent += r.datagrams_sent;
     out.delivered_unique += r.delivered_unique;
@@ -177,23 +23,10 @@ ShardedSoakResult run_sharded_soak(const ShardedSoakOptions& options) {
     out.duplicate_egress += r.duplicate_egress;
     out.fault_events_applied += r.fault_events_applied;
   }
-  out.rounds = sharded.rounds();
-  out.cross_shard_messages = sharded.cross_shard_messages();
-  for (const std::uint64_t count : beacons_received) {
-    out.beacons_received += count;
-  }
   out.wall_pps = out.wall_seconds > 0.0
                      ? static_cast<double>(out.datagrams_sent) /
                            out.wall_seconds
                      : 0.0;
-
-  // Worker-order merge: counter totals are shard-count invariant sums;
-  // histogram float sums are deterministic for a fixed shard count.
-  obs::MetricsRegistry merged;
-  for (obs::MetricsRegistry& registry : worker_metrics) {
-    merged.merge_from(registry);
-  }
-  out.metrics_json = merged.to_json();
   return out;
 }
 

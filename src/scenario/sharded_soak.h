@@ -1,18 +1,19 @@
 // Sharded soak: many independent combiner circuits advanced in parallel
-// by a sim::ShardedSimulator, with canonical hash/metrics merging.
+// by a sim::ShardedSimulator (run_fleet() of scenario/circuit.h over
+// SoakCircuit).
 //
-// Each circuit is a SoakCircuit on its own sim::Simulator (its own seed,
-// RNG streams, trace checker, and thread-local metrics registry via the
-// worker it is pinned to), so per-circuit event streams are bit-identical
-// for ANY shard count — parallelism only changes which thread interleaves
-// which circuit. The merged artifacts are canonical:
+// Each circuit is a SoakCircuit on its own sim::Simulator with its own
+// seed, RNG streams, trace checker and observability context, so its
+// event stream, percentiles and metrics snapshot are bit-identical to
+// run_soak() on its seed for ANY shard count — parallelism only changes
+// which thread interleaves which circuit. The merged artifacts are
+// canonical:
 //
 //  * merged_stream_hash / merged_egress_hash — the per-circuit hashes
 //    folded in circuit-index order (identity for a single circuit, so a
 //    1-circuit sharded run reproduces run_soak()'s hash exactly);
-//  * metrics_json — per-worker registries merged in worker-index order
-//    (counter totals are shard-count invariant; histogram double sums are
-//    deterministic per shard count, since float addition reorders).
+//  * metrics_json — the per-circuit registries merged in circuit-index
+//    order, the same snapshot for every shard count.
 //
 // Optional cross-shard beacons exercise the shard-crossing machinery with
 // real link::Channel traffic (bind_remote over ShardChannels in a ring).
@@ -22,9 +23,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
+#include "scenario/circuit.h"
 #include "scenario/soak.h"
 
 namespace netco::scenario {
@@ -47,11 +47,7 @@ struct ShardedSoakOptions {
 };
 
 /// Aggregate outcome plus every per-circuit result.
-struct ShardedSoakResult {
-  std::vector<SoakResult> circuits;  ///< indexed by circuit id
-
-  /// Canonical fold of per-circuit stream hashes (identity for one).
-  std::uint64_t merged_stream_hash = 0;
+struct ShardedSoakResult : FleetResult<SoakResult> {
   std::uint64_t merged_egress_hash = 0;
 
   // Fleet-level sums over circuits.
@@ -62,19 +58,7 @@ struct ShardedSoakResult {
   std::uint64_t duplicate_egress = 0;
   std::uint64_t fault_events_applied = 0;
 
-  /// Conservative-protocol telemetry (worker-count invariant).
-  std::uint64_t rounds = 0;
-  /// Cross-shard deliveries (beacon traffic; 0 without beacons).
-  std::uint64_t cross_shard_messages = 0;
-  std::uint64_t beacons_received = 0;
-
-  /// Wall-clock of the whole fleet run (coordinator-side; the number the
-  /// shard-count sweep compares).
-  double wall_seconds = 0.0;
   double wall_pps = 0.0;  ///< total offered datagrams / wall second
-
-  /// Per-worker registries merged in worker order.
-  std::string metrics_json;
 
   /// True when every circuit's invariant verdict is clean.
   [[nodiscard]] bool ok() const noexcept {
@@ -85,9 +69,9 @@ struct ShardedSoakResult {
   }
 };
 
-/// Runs the fleet. Same seed + same options ⇒ identical merged hashes for
-/// every value of shards (including per-circuit stream equality with
-/// run_soak for circuit 0).
+/// Runs the fleet. Same seed + same options ⇒ identical merged hashes and
+/// metrics snapshot for every value of shards, and circuit i's result
+/// equals run_soak() on circuit i's seed (wall-clock fields aside).
 ShardedSoakResult run_sharded_soak(const ShardedSoakOptions& options);
 
 }  // namespace netco::scenario

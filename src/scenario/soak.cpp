@@ -1,30 +1,12 @@
 #include "scenario/soak.h"
 
-#include "obs/observability.h"
+#include "scenario/circuit.h"
 #include "scenario/soak_circuit.h"
 
 namespace netco::scenario {
 
 SoakResult run_soak(const SoakOptions& options) {
-  obs::Observability& obs = obs::global();
-  obs.metrics.reset();
-
-  // The circuit owns the whole stack (topology, checker, injector, UDP
-  // endpoints) and its window hooks encode the classic soak program:
-  // run to the cap, audit, repeat; stop + one drain window; final audit.
-  // Driving it with a plain run_until() loop here is bit-identical to the
-  // pre-refactor inline loop — the sharded harness drives the same hooks
-  // from worker threads (scenario/sharded_soak.cpp).
-  SoakCircuit circuit(options);
-  obs::ScopedTraceSink scoped(circuit.trace_sink());
-
-  sim::TimePoint cap = circuit.start();
-  while (cap != SoakCircuit::done_marker()) {
-    circuit.simulator().run_until(cap);
-    cap = circuit.on_window(cap);
-  }
-  circuit.finalize();
-  return circuit.take_result();
+  return run_circuit<SoakCircuit>(options);
 }
 
 }  // namespace netco::scenario

@@ -82,7 +82,7 @@ struct SoakResult {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t delivered_unique = 0;
   std::uint64_t compare_ingested = 0;
-  std::uint64_t compare_released = 0;
+  std::uint64_t compare_released = 0;  ///< a promoted standby's included
   std::uint64_t trace_records = 0;
   std::uint64_t fault_events_applied = 0;
   std::uint64_t audits = 0;
@@ -161,8 +161,9 @@ struct SoakResult {
   [[nodiscard]] bool ok() const noexcept { return invariants.ok(); }
 };
 
-/// Runs one soak. Resets the global metrics registry at entry (the
-/// snapshot in the result belongs to this run alone).
+/// Runs one soak on the calling thread. Resets the thread's current
+/// metrics registry at entry (the snapshot in the result belongs to this
+/// run alone).
 SoakResult run_soak(const SoakOptions& options);
 
 }  // namespace netco::scenario

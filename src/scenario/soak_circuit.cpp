@@ -300,6 +300,12 @@ void SoakCircuit::finalize() {
       result_.fastpath_released += stats->fastpath_released;
       result_.sampled_escalated += stats->sampled_escalated;
     }
+    // A promoted standby releases from its shadow cores. Before promotion
+    // they count withheld quorums in shadow_releases, never in released;
+    // their ingests are mirrored copies, so ingested stays primary-only.
+    for (const core::CompareCore* shadow : combiner.shadow_cores) {
+      result_.compare_released += shadow->stats().released;
+    }
   }
   result_.trace_records = checker_.records_seen();
   result_.fault_events_applied = injector_->applied();

@@ -1,17 +1,14 @@
 // One combiner circuit of a soak, packaged as a window-driven unit.
 //
-// SoakCircuit owns everything run_soak() used to build on its stack — the
-// Fig. 3 topology, the QuorumTraceChecker, the fault injector, the UDP
-// endpoints — and exposes the soak's event program as the window protocol
-// sim/shard.h expects: start() arms the sender and returns the first
-// window cap, on_window() runs the between-window bookkeeping (audits,
-// tail-goodput mark, sender stop, drain) and returns the next cap, and
-// finalize() collects the SoakResult. Driving those hooks with a plain
-// `run_until(cap)` loop on one thread reproduces the classic run_soak()
-// event program bit-for-bit (run_soak() does exactly that); driving them
-// from a ShardedSimulator runs many circuits in parallel with identical
-// per-circuit streams — determinism is per-circuit, the harness merely
-// chooses how many to interleave.
+// SoakCircuit owns the whole stack of a soak — the Fig. 3 topology, the
+// QuorumTraceChecker, the fault injector, the UDP endpoints or the
+// workload engine — and exposes the soak's event program as the window
+// protocol of scenario/circuit.h: start() arms the sender and returns the
+// first window cap, on_window() runs the between-window bookkeeping
+// (audits, tail-goodput mark, sender stop, drain) and returns the next
+// cap, and finalize() collects the SoakResult. run_soak() drives it with
+// run_circuit() on one thread, run_sharded_soak() with run_fleet() as one
+// cell of many; its event stream is the same either way.
 #pragma once
 
 #include <chrono>
@@ -87,8 +84,9 @@ class SoakCircuit {
   sim::TimePoint on_window(sim::TimePoint committed);
 
   /// Epilogue: fills the SoakResult (counters, hashes, invariants, and —
-  /// from the *calling thread's* metrics registry — verdict percentiles
-  /// and the metrics snapshot). Call on the thread that ran the windows.
+  /// from the calling thread's current metrics registry — verdict
+  /// percentiles and the metrics snapshot). Call on the thread that ran
+  /// the windows, in the context the circuit was built in.
   void finalize();
 
   /// Moves the collected result out (valid after finalize()).

@@ -4,12 +4,6 @@
 
 namespace netco::scenario {
 
-SoakResult run_workload(const SoakOptions& options) {
-  NETCO_ASSERT_MSG(options.workload.enabled,
-                   "run_workload() needs SoakOptions::workload.enabled");
-  return run_soak(options);
-}
-
 ShardedSoakResult run_workload_fleet(const ShardedSoakOptions& options) {
   NETCO_ASSERT_MSG(
       options.base.workload.enabled,

@@ -134,11 +134,7 @@ TimePoint ShardedSimulator::committed(std::size_t cell) const {
 }
 
 void ShardedSimulator::worker_main(int worker) {
-  if (worker_prologue_) worker_prologue_(worker);
-
-  // Construct and start this worker's cells, in ascending cell order so
-  // any shared thread-local state (metric registrations) is built in a
-  // deterministic order for a given pinning.
+  // Construct and start this worker's cells, in ascending cell order.
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     CellState& state = *cells_[i];
     if (state.worker != worker) continue;
@@ -178,9 +174,8 @@ void ShardedSimulator::worker_main(int worker) {
     }
   }
 
-  // Shutdown: harvest results, tear the cells down on their own thread
-  // (destructors cancel events — EventHandle asserts the owner), then let
-  // the harness collect this worker's thread-local state.
+  // Shutdown: harvest results, then tear the cells down on their own
+  // thread (destructors cancel events — EventHandle asserts the owner).
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     CellState& state = *cells_[i];
     if (state.worker != worker || state.cell == nullptr) continue;
@@ -190,7 +185,6 @@ void ShardedSimulator::worker_main(int worker) {
     CellState& state = *cells_[i];
     if (state.worker == worker) state.cell.reset();
   }
-  if (worker_epilogue_) worker_epilogue_(worker);
 }
 
 bool ShardedSimulator::plan_round() {

@@ -29,8 +29,8 @@
 //    and are drained at the barrier in that canonical order, so the
 //    receiving simulator assigns them the same tie-break sequence numbers
 //    regardless of which thread produced them, or when.
-//  * Cells never share a Simulator, an RNG stream, or (thread-local, see
-//    src/obs) an observability context with a cell on another worker.
+//  * Cells never share a Simulator, an RNG stream, or an observability
+//    context (scenario/circuit.h gives each fleet cell its own).
 //  Hence: same seed + same cell set ⇒ bit-identical per-cell event
 //  streams for ANY worker count — shards=1 reproduces the single-threaded
 //  run exactly, and per-cell stream hashes merge canonically.
@@ -73,8 +73,8 @@ class ShardCell {
   virtual TimePoint start() = 0;
 
   /// Called immediately before the cell's events run in a window — the
-  /// hook cells use to aim the worker's thread-local trace sink at their
-  /// own stream (see scenario/sharded_soak.cpp).
+  /// hook cells use to make their own observability context current on
+  /// the worker (see scenario/circuit.h).
   virtual void before_window() {}
 
   /// Called after the cell advanced to `committed` (its horizon for the
@@ -176,9 +176,8 @@ class ShardChannel {
 ///   sharded.run();   // blocks until every cell reports done
 ///
 /// Factories, start(), before_window(), on_window(), finalize() and cell
-/// destruction all execute on the cell's pinned worker thread, so
-/// thread-local state (the obs context) binds to the right thread.
-/// run() is one-shot.
+/// destruction all execute on the cell's pinned worker thread. run() is
+/// one-shot.
 class ShardedSimulator {
  public:
   struct Options {
@@ -206,16 +205,6 @@ class ShardedSimulator {
   /// a zero-lookahead cycle would deadlock the conservative protocol.
   ShardChannel& connect(std::size_t from, std::size_t to,
                         Duration lookahead);
-
-  /// Per-worker hooks, run on the worker thread before its first factory
-  /// (prologue — reset thread-local metrics) and after its last cell is
-  /// destroyed (epilogue — harvest thread-local metrics).
-  void set_worker_prologue(std::function<void(int)> fn) {
-    worker_prologue_ = std::move(fn);
-  }
-  void set_worker_epilogue(std::function<void(int)> fn) {
-    worker_epilogue_ = std::move(fn);
-  }
 
   /// Runs the conservative protocol until every cell reports done.
   /// One-shot; blocks the calling thread (which acts as coordinator).
@@ -250,8 +239,6 @@ class ShardedSimulator {
   Options options_;
   std::vector<std::unique_ptr<CellState>> cells_;
   std::vector<std::unique_ptr<ShardChannel>> channels_;
-  std::function<void(int)> worker_prologue_;
-  std::function<void(int)> worker_epilogue_;
   std::unique_ptr<WorkerSync> sync_;
   std::uint64_t rounds_ = 0;
   std::uint64_t delivered_ = 0;

@@ -291,6 +291,8 @@ TEST(FailoverFleetTest, DeterministicSoloAndShardedFleet) {
   const auto fleet2a = scenario::run_failover_fleet(options, 2, 1);
   const auto fleet2b = scenario::run_failover_fleet(options, 2, 2);
   EXPECT_EQ(fleet2a.merged_stream_hash, fleet2b.merged_stream_hash);
+  EXPECT_FALSE(fleet2a.metrics_json.empty());
+  EXPECT_EQ(fleet2a.metrics_json, fleet2b.metrics_json);
   ASSERT_EQ(fleet2a.circuits.size(), 2u);
   EXPECT_TRUE(fleet2a.circuits[0].absorbed);
   EXPECT_EQ(fleet2a.circuits[0].stream_hash, solo_a.stream_hash);

@@ -7,6 +7,9 @@
 // per packet against the trace stream, not inferred from counters.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "scenario/soak.h"
 
 namespace netco::scenario {
@@ -31,6 +34,18 @@ SoakOptions failover_options(int k, std::uint64_t seed) {
   return options;
 }
 
+/// A counter's value in a metrics_json snapshot.
+std::uint64_t counter_in(const std::string& metrics_json,
+                         const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = metrics_json.find(key);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no counter " << name;
+    return 0;
+  }
+  return std::stoull(metrics_json.substr(at + key.size()));
+}
+
 void expect_clean_failover(const SoakResult& r) {
   EXPECT_TRUE(r.ok()) << "violations=" << r.invariants.violations;
   for (const auto& detail : r.invariants.details) {
@@ -53,6 +68,10 @@ void expect_clean_failover(const SoakResult& r) {
   // itself — 80% is the loose bound that proves the loss stayed bounded.
   EXPECT_GE(static_cast<double>(r.delivered_unique),
             0.80 * static_cast<double>(r.datagrams_sent));
+  // Releases count the promoted standby's cores too: the harness total
+  // agrees with the registry counter and covers every unique delivery.
+  EXPECT_EQ(r.compare_released, counter_in(r.metrics_json, "compare.released"));
+  EXPECT_GE(r.compare_released, r.delivered_unique);
 }
 
 TEST(ResilienceE2E, CompareCrashFailsOverK3) {

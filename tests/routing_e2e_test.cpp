@@ -116,12 +116,16 @@ TEST(RoutingConvergence, FleetMergedHashIsShardCountInvariant) {
   base.attack = RoutingAttack::kInflate;
 
   const ConvergenceResult solo = run_convergence(base);
-  const ConvergenceFleetResult one_shard = run_convergence_fleet(base, 2, 1);
-  const ConvergenceFleetResult two_shards = run_convergence_fleet(base, 2, 2);
+  const FleetResult<ConvergenceResult> one_shard =
+      run_convergence_fleet(base, 2, 1);
+  const FleetResult<ConvergenceResult> two_shards =
+      run_convergence_fleet(base, 2, 2);
 
   ASSERT_EQ(one_shard.circuits.size(), 2u);
   ASSERT_EQ(two_shards.circuits.size(), 2u);
   EXPECT_EQ(one_shard.merged_stream_hash, two_shards.merged_stream_hash);
+  EXPECT_FALSE(one_shard.metrics_json.empty());
+  EXPECT_EQ(one_shard.metrics_json, two_shards.metrics_json);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(one_shard.circuits[i].stream_hash,
               two_shards.circuits[i].stream_hash)

@@ -5,6 +5,7 @@
 // bench/casestudy_datacenter.
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "scenario/sharded_soak.h"
 #include "scenario/soak.h"
 
@@ -56,6 +57,7 @@ TEST(ShardedSoak, MergedHashIsShardCountInvariant) {
   EXPECT_EQ(one.merged_egress_hash, four.merged_egress_hash);
   EXPECT_EQ(one.rounds, two.rounds);
   EXPECT_EQ(one.rounds, four.rounds);
+  EXPECT_EQ(one.metrics_json, four.metrics_json);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(one.circuits[i].stream_hash, two.circuits[i].stream_hash)
         << "circuit " << i;
@@ -66,6 +68,24 @@ TEST(ShardedSoak, MergedHashIsShardCountInvariant) {
   }
   // Distinct seeds: the fold must actually see distinct streams.
   EXPECT_NE(one.circuits[0].stream_hash, one.circuits[1].stream_hash);
+}
+
+TEST(ShardedSoak, FleetCircuitsMatchSoloRuns) {
+  // Circuits sharing one worker must each report their own percentiles
+  // and metrics, exactly as if run alone.
+  const ShardedSoakResult fleet = run_sharded_soak(fleet_options(4, 1));
+  ASSERT_EQ(fleet.circuits.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    SoakOptions options = base_options();
+    if (i != 0) options.seed = hash_mix(options.seed, i);
+    const SoakResult solo = run_soak(options);
+    EXPECT_EQ(fleet.circuits[i].stream_hash, solo.stream_hash)
+        << "circuit " << i;
+    EXPECT_EQ(fleet.circuits[i].verdict_p99_us, solo.verdict_p99_us)
+        << "circuit " << i;
+    EXPECT_EQ(fleet.circuits[i].metrics_json, solo.metrics_json)
+        << "circuit " << i;
+  }
 }
 
 TEST(ShardedSoak, DoubleRunIsDeterministic) {

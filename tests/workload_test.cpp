@@ -61,7 +61,7 @@ SoakOptions workload_options(workload::Scenario scenario,
 }
 
 TEST(WorkloadSmoke, SteadyRunCompletesFlowsAndHoldsInvariants) {
-  const SoakResult result = run_workload(workload_options(
+  const SoakResult result = run_soak(workload_options(
       workload::Scenario::kSteady));
   EXPECT_TRUE(result.ok()) << "violations=" << result.invariants.violations;
   for (const auto& detail : result.invariants.details) {
@@ -85,8 +85,8 @@ TEST(WorkloadSmoke, SteadyRunCompletesFlowsAndHoldsInvariants) {
 TEST(WorkloadSmoke, SameSeedIsBitReproducible) {
   const SoakOptions options =
       workload_options(workload::Scenario::kFlashCrowd);
-  const SoakResult a = run_workload(options);
-  const SoakResult b = run_workload(options);
+  const SoakResult a = run_soak(options);
+  const SoakResult b = run_soak(options);
   EXPECT_TRUE(a.ok()) << "violations=" << a.invariants.violations;
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   EXPECT_EQ(a.trace_records, b.trace_records);
@@ -98,14 +98,14 @@ TEST(WorkloadSmoke, SameSeedIsBitReproducible) {
 
 TEST(WorkloadSmoke, DiurnalRampShapesArrivals) {
   SoakOptions options = workload_options(workload::Scenario::kDiurnal);
-  const SoakResult result = run_workload(options);
+  const SoakResult result = run_soak(options);
   EXPECT_TRUE(result.ok()) << "violations=" << result.invariants.violations;
   EXPECT_GT(result.wl_sessions_started, 10u);
   EXPECT_GT(result.wl_flows_completed, 0u);
 }
 
 TEST(WorkloadSmoke, DdosBurstFloodsOneReplicaAndStillDrains) {
-  const SoakResult result = run_workload(workload_options(
+  const SoakResult result = run_soak(workload_options(
       workload::Scenario::kDdosBurst));
   EXPECT_TRUE(result.ok()) << "violations=" << result.invariants.violations;
   for (const auto& detail : result.invariants.details) {
@@ -121,8 +121,8 @@ TEST(WorkloadSmoke, DdosBurstFloodsOneReplicaAndStillDrains) {
 TEST(WorkloadSmoke, DdosBurstIsBitReproducible) {
   const SoakOptions options =
       workload_options(workload::Scenario::kDdosBurst, 99);
-  const SoakResult a = run_workload(options);
-  const SoakResult b = run_workload(options);
+  const SoakResult a = run_soak(options);
+  const SoakResult b = run_soak(options);
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.wl_ddos_emitted, b.wl_ddos_emitted);
@@ -156,14 +156,14 @@ TEST(WorkloadFleet, SingleCircuitFleetReproducesRunWorkload) {
   fleet.circuits = 1;
   fleet.shards = 1;
   const ShardedSoakResult sharded = run_workload_fleet(fleet);
-  const SoakResult solo = run_workload(fleet.base);
+  const SoakResult solo = run_soak(fleet.base);
   EXPECT_EQ(sharded.merged_stream_hash, solo.stream_hash);
   EXPECT_EQ(sharded.circuits[0].wl_flows_completed, solo.wl_flows_completed);
 }
 
 TEST(WorkloadSmokeDeathTest, RejectsDisabledConfig) {
-  SoakOptions options;
-  EXPECT_DEATH(run_workload(options), "workload.enabled");
+  ShardedSoakOptions options;
+  EXPECT_DEATH(run_workload_fleet(options), "workload.enabled");
 }
 
 }  // namespace
