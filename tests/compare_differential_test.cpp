@@ -39,7 +39,8 @@ SoakOptions faulted_options(int k, core::ReleasePolicy policy,
 
 /// Benign k=5 run: health loop on, no fault plan. The one configuration
 /// where full and sampled verification must be observationally identical
-/// on the wire.
+/// on the wire. Its sampled golden pins the fast path's stream.
+constexpr std::uint64_t kGoldenK5BenignSampled = 0xf0ebca425680fa88ULL;
 SoakOptions benign_options(bool sampled) {
   SoakOptions options;
   options.k = 5;
@@ -49,6 +50,19 @@ SoakOptions benign_options(bool sampled) {
   options.health.enabled = true;
   options.inject_default_faults = false;
   options.sampling.enabled = sampled;
+  return options;
+}
+
+/// Sampled runs under the default fault plan with the health loop on. The
+/// goldens pin the compare's sampled bookkeeping: these two runs reach
+/// vote-slot capacity eviction, release-tombstone hits and full-cache
+/// cleanup passes.
+constexpr std::uint64_t kGoldenK3Sampled = 0x7260c6b360514424ULL;
+constexpr std::uint64_t kGoldenK5Sampled = 0x3cc1396892e0d03fULL;
+SoakOptions sampled_faulted_options(int k, std::uint64_t seed) {
+  SoakOptions options = faulted_options(k, core::ReleasePolicy::kMajority, seed);
+  options.health.enabled = true;
+  options.sampling.enabled = true;
   return options;
 }
 
@@ -76,6 +90,18 @@ TEST(CompareDifferential, FullVerifyReproducesGoldenStreamHashes) {
   EXPECT_TRUE(k5.ok());
   EXPECT_EQ(k5.stream_hash, kGoldenK5Benign)
       << "benign k5 full-verify trace stream drifted from its golden";
+}
+
+TEST(CompareDifferential, SampledRunsReproduceGoldenStreamHashes) {
+  const SoakResult k3 = run_soak(sampled_faulted_options(3, 77));
+  EXPECT_TRUE(k3.ok()) << "violations=" << k3.invariants.violations;
+  EXPECT_EQ(k3.stream_hash, kGoldenK3Sampled)
+      << "k3 sampled trace stream drifted from its golden";
+
+  const SoakResult k5 = run_soak(sampled_faulted_options(5, 78));
+  EXPECT_TRUE(k5.ok()) << "violations=" << k5.invariants.violations;
+  EXPECT_EQ(k5.stream_hash, kGoldenK5Sampled)
+      << "k5 sampled trace stream drifted from its golden";
 }
 
 TEST(CompareDifferential, BenignSampledEgressSetMatchesFullVerify) {
@@ -107,6 +133,8 @@ TEST(CompareDifferential, BenignSampledEgressSetMatchesFullVerify) {
 TEST(CompareDifferential, SampledRunIsBitReproducible) {
   const SoakResult a = run_soak(benign_options(true));
   const SoakResult b = run_soak(benign_options(true));
+  EXPECT_EQ(a.stream_hash, kGoldenK5BenignSampled)
+      << "benign k5 sampled trace stream drifted from its golden";
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   EXPECT_EQ(a.egress_set_hash, b.egress_set_hash);
   EXPECT_EQ(a.trace_records, b.trace_records);

@@ -18,7 +18,9 @@ namespace {
 /// A short failover soak. The heartbeat is tightened far below the fault
 /// plan's minimum outage length ((horizon-start)/64 ≥ 5 ms) so detection
 /// plus promotion always beats the crash's scheduled warm restart — the
-/// restart then finds the old primary fenced and leaves it retired.
+/// restart then finds the old primary fenced and leaves it retired. The
+/// golden pins failover_options(3, 501)'s stream.
+constexpr std::uint64_t kGoldenFailoverK3 = 0xfc2fcc985fcce09cULL;
 SoakOptions failover_options(int k, std::uint64_t seed) {
   SoakOptions options;
   options.k = k;
@@ -77,6 +79,8 @@ void expect_clean_failover(const SoakResult& r) {
 TEST(ResilienceE2E, CompareCrashFailsOverK3) {
   const SoakResult result = run_soak(failover_options(3, 501));
   expect_clean_failover(result);
+  EXPECT_EQ(result.stream_hash, kGoldenFailoverK3)
+      << "k3 failover trace stream drifted from its golden";
 }
 
 TEST(ResilienceE2E, CompareCrashFailsOverK5) {
@@ -114,12 +118,15 @@ TEST(ResilienceE2E, WarmRestartRecoversWithoutStandby) {
        .kind = faultinject::FaultKind::kCompareCrash,
        .duration_ns = sim::Duration::milliseconds(80).ns()});
   options.plan.normalize();
+  constexpr std::uint64_t kGoldenWarmRestart = 0xe87c799c4e97c2b6ULL;
 
   const SoakResult r = run_soak(options);
   EXPECT_TRUE(r.ok()) << "violations=" << r.invariants.violations;
   for (const auto& detail : r.invariants.details) {
     ADD_FAILURE() << detail;
   }
+  EXPECT_EQ(r.stream_hash, kGoldenWarmRestart)
+      << "warm-restart trace stream drifted from its golden";
   EXPECT_EQ(r.duplicate_egress, 0u);
   EXPECT_EQ(r.resilience_failovers, 0u);      // nobody to fail over to
   EXPECT_EQ(r.resilience_degraded_entries, 1u);  // declared dead meanwhile

@@ -14,7 +14,9 @@ namespace netco::scenario {
 namespace {
 
 /// k=5 with the health loop closed and exactly one fault: replica 1
-/// turns byzantine-corrupt at 100 ms and honest again at 350 ms.
+/// turns byzantine-corrupt at 100 ms and honest again at 350 ms. The
+/// golden pins the sampled run's stream.
+constexpr std::uint64_t kGoldenSwapSampled = 0x34a4a4bf5dab6603ULL;
 SoakOptions swap_options(bool sampled) {
   SoakOptions options;
   options.k = 5;
@@ -79,6 +81,8 @@ TEST(SamplingDetection, CorruptReplicaStillQuarantinedUnderSampling) {
 TEST(SamplingDetection, SwapScenarioIsSeedDeterministic) {
   const SoakResult a = run_soak(swap_options(true));
   const SoakResult b = run_soak(swap_options(true));
+  EXPECT_EQ(a.stream_hash, kGoldenSwapSampled)
+      << "k5 swap sampled trace stream drifted from its golden";
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   EXPECT_EQ(a.egress_set_hash, b.egress_set_hash);
   EXPECT_EQ(a.trace_records, b.trace_records);
