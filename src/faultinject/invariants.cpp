@@ -27,68 +27,52 @@ void InvariantReport::merge(const InvariantReport& other) {
 
 void check_audit(const core::CompareAudit& audit, const std::string& where,
                  InvariantReport& report) {
-  char buf[160];
+  static constexpr const char* kKindNames[core::kSlotKinds] = {
+      "entry", "vote", "tombstone"};
+  char buf[192];
 
-  ++report.checks;
-  if (!audit.age_cache_consistent) {
-    report.note(where + ": age list and cache disagree");
-  }
-  ++report.checks;
-  if (!audit.age_ordered) {
-    report.note(where + ": age list not oldest-first");
-  }
-  ++report.checks;
-  if (audit.cache_entries > audit.cache_capacity) {
-    std::snprintf(buf, sizeof buf, "%s: cache %zu exceeds capacity %zu",
-                  where.c_str(), audit.cache_entries, audit.cache_capacity);
-    report.note(buf);
-  }
-  for (std::size_t r = 0; r < audit.quota_counts.size(); ++r) {
+  for (std::size_t k = 0; k < core::kSlotKinds; ++k) {
+    const core::SlotAudit& kind = audit.kinds[k];
+    const char* name = kKindNames[k];
     ++report.checks;
-    if (audit.quota_counts[r] != audit.live_singletons[r]) {
-      std::snprintf(
-          buf, sizeof buf,
-          "%s: replica %zu quota counter %llu != live singletons %llu",
-          where.c_str(), r,
-          static_cast<unsigned long long>(audit.quota_counts[r]),
-          static_cast<unsigned long long>(audit.live_singletons[r]));
+    if (!kind.consistent()) {
+      std::snprintf(buf, sizeof buf,
+                    "%s: %s slots: size %zu, age list %zu, index %zu",
+                    where.c_str(), name, kind.size, kind.age_entries,
+                    kind.index_entries);
       report.note(buf);
     }
-  }
-
-  if (!audit.vote_active) return;
-  const core::VoteCacheAudit& v = audit.vote;
-  ++report.checks;
-  if (!v.consistent) {
-    std::snprintf(buf, sizeof buf,
-                  "%s: vote cache inconsistent (entries=%zu age=%zu "
-                  "chain=%zu free=%zu arena=%zu)",
-                  where.c_str(), v.entries, v.age_entries, v.chain_entries,
-                  v.free_slots, v.arena);
-    report.note(buf);
-  }
-  ++report.checks;
-  if (!v.age_ordered) {
-    report.note(where + ": vote cache age list not oldest-first");
-  }
-  ++report.checks;
-  if (v.entries > v.capacity) {
-    std::snprintf(buf, sizeof buf,
-                  "%s: vote cache %zu exceeds capacity %zu", where.c_str(),
-                  v.entries, v.capacity);
-    report.note(buf);
-  }
-  for (std::size_t r = 0; r < v.quota_counts.size(); ++r) {
     ++report.checks;
-    if (v.quota_counts[r] != v.live_quota_held[r]) {
-      std::snprintf(
-          buf, sizeof buf,
-          "%s: vote cache replica %zu quota counter %llu != held slots %llu",
-          where.c_str(), r,
-          static_cast<unsigned long long>(v.quota_counts[r]),
-          static_cast<unsigned long long>(v.live_quota_held[r]));
+    if (!kind.age_ordered) {
+      std::snprintf(buf, sizeof buf, "%s: %s age list not oldest-first",
+                    where.c_str(), name);
       report.note(buf);
     }
+    ++report.checks;
+    if (kind.size > kind.capacity) {
+      std::snprintf(buf, sizeof buf, "%s: %s slots %zu exceed capacity %zu",
+                    where.c_str(), name, kind.size, kind.capacity);
+      report.note(buf);
+    }
+    for (std::size_t r = 0; r < kind.quota_counts.size(); ++r) {
+      ++report.checks;
+      const std::size_t held =
+          r < kind.quota_held.size() ? kind.quota_held[r] : 0;
+      if (kind.quota_counts[r] != held) {
+        std::snprintf(buf, sizeof buf,
+                      "%s: %s replica %zu quota counter %zu != held slots %zu",
+                      where.c_str(), name, r, kind.quota_counts[r], held);
+        report.note(buf);
+      }
+    }
+  }
+  ++report.checks;
+  const std::size_t live = audit.live_slots();
+  if (live + audit.free_slots != audit.arena) {
+    std::snprintf(buf, sizeof buf,
+                  "%s: %zu live + %zu free slots != arena %zu",
+                  where.c_str(), live, audit.free_slots, audit.arena);
+    report.note(buf);
   }
 }
 

@@ -47,9 +47,11 @@ struct InvariantReport {
   void merge(const InvariantReport& other);
 };
 
-/// Checks a cache self-audit: quota counters match a live recount, the
-/// age list and cache agree, ages are ordered, occupancy respects the
-/// capacity bound. `where` labels violations ("netco-e0@t=...").
+/// Checks a compare store self-audit, per slot kind: the size counter,
+/// age list and index agree, ages are ordered, occupancy respects the
+/// capacity bound, quota counters match a recount of held quota slots;
+/// and live plus free slots fill the arena. `where` labels violations
+/// ("netco-e0@t=...").
 void check_audit(const core::CompareAudit& audit, const std::string& where,
                  InvariantReport& report);
 

@@ -10,11 +10,9 @@
 
 namespace netco::core {
 namespace {
-/// Salt for the perturbed-key collision chain (see ingest()).
-constexpr std::uint64_t kProbeSalt = 0xC01115104EULL;
 /// Salt for the sampled-verification election (see sampled_key()).
-/// Distinct from kProbeSalt and the vote cache's bucket salt so the
-/// election does not correlate with either collision pattern.
+/// Distinct from the store's index salt so the election does not
+/// correlate with its collision pattern.
 constexpr std::uint64_t kSampleSalt = 0xFA57C0DE5ULL;
 }  // namespace
 
@@ -34,15 +32,18 @@ CompareCore::CompareCore(CompareConfig config)
       obs_(&obs::global()),
       verdict_latency_(&obs_->metrics.histogram("compare.verdict_latency_us")),
       released_counter_(&obs_->metrics.counter("compare.released")),
-      ingested_counter_(&obs_->metrics.counter("compare.ingested")) {
+      ingested_counter_(&obs_->metrics.counter("compare.ingested")),
+      // Clamped so that the range check below, with its message, is the
+      // one that rejects a bad k.
+      store_(config_.cache_capacity, config_.sampling.vote_quota,
+             std::clamp(config_.k, 1, CompareStore::kMaxReplicas)) {
   NETCO_ASSERT_MSG(
-      config_.k >= 1 && config_.k < WeightedVoteCache::kMaxReplicas,
+      config_.k >= 1 && config_.k < CompareStore::kMaxReplicas,
       "CompareConfig.k out of range: replica ids must fit the 64-bit vote "
       "bitmask (1 <= k < 64) — an oversized fleet would silently drop votes");
   live_mask_ = (1ULL << static_cast<unsigned>(config_.k)) - 1;
   live_count_ = config_.k;
   const auto n = static_cast<std::size_t>(config_.k);
-  singleton_count_.assign(n, 0);
   arrival_ns_.assign(n, {});
   garbage_ns_.assign(n, {});
   missed_streak_.assign(n, 0);
@@ -51,12 +52,6 @@ CompareCore::CompareCore(CompareConfig config)
   live_since_.assign(n, sim::TimePoint::origin());
   weights_.assign(n, 1.0);
   if (config_.sampling.enabled) {
-    // Clamp the vote store to the full cache's capacity so a fault-plan
-    // cache squeeze bounds both stores, and allocate the SoA arena once.
-    const std::size_t vote_capacity =
-        std::min(config_.sampling.vote_capacity, config_.cache_capacity);
-    votes_ = std::make_unique<WeightedVoteCache>(
-        vote_capacity, config_.sampling.vote_quota, config_.k);
     // Counters exist only in sampled mode: a full-verify core must leave
     // the global metrics snapshot byte-identical to pre-§XII builds.
     sampled_counter_ = &obs_->metrics.counter("compare.sampled");
@@ -150,12 +145,14 @@ void CompareCore::verdict(VerdictKind kind, int replica, sim::TimePoint now) {
                                            .at = now});
 }
 
-void CompareCore::divergent_verdict(const Entry& entry, sim::TimePoint now) {
+void CompareCore::divergent_verdict(Slot entry, sim::TimePoint now) {
   // Only a dead *singleton* is attributable: exactly one replica sent it
   // and nobody confirmed. Multi-contributor minority entries (loss, churn)
   // are ambiguous and produce no verdict.
-  if (entry.released || entry.contributions != 1) return;
-  verdict(VerdictKind::kDivergent, entry.first_replica, now);
+  if (store_.released(entry) || std::popcount(store_.mask(entry)) != 1) {
+    return;
+  }
+  verdict(VerdictKind::kDivergent, store_.first_replica(entry), now);
 }
 
 void CompareCore::set_replica_live(int replica, bool live,
@@ -227,64 +224,48 @@ std::uint32_t CompareCore::effective_period(sim::TimePoint now) const
   return s.period;
 }
 
-bool CompareCore::full_entry_exists(std::uint64_t base,
-                                    const net::Packet& packet) const {
-  // Read-only replay of ingest()'s probe walk, full depth across holes.
-  std::uint32_t chain_limit = 0;
-  if (const auto cit = chains_.find(base); cit != chains_.end()) {
-    chain_limit = cit->second.max_depth;
-  }
-  std::uint64_t probe = base;
-  for (std::uint32_t d = 0; d <= chain_limit; ++d) {
-    const auto hit = cache_.find(probe);
-    if (hit != cache_.end() && hit->second.base_key == base &&
-        same_packet(hit->second.exemplar, packet)) {
-      return true;
-    }
-    probe = hash_mix(probe, kProbeSalt);
-  }
-  return false;
+CompareCore::Slot CompareCore::find_entry(std::uint64_t key,
+                                          const net::Packet& packet) const {
+  return store_.find(SlotKind::kEntry, key, [&](Slot s) {
+    return same_packet(store_.exemplar(s), packet);
+  });
 }
 
 void CompareCore::tombstone_release(std::uint64_t key, sim::TimePoint now) {
-  if (votes_ == nullptr) return;
-  tombstones_[key] = now.ns();
-  tombstone_fifo_.emplace_back(now.ns(), key);
+  if (!config_.sampling.enabled) return;
+  // A key re-tombstoned inside the window restarts its expiry.
+  const Slot old = store_.find(SlotKind::kTombstone, key);
+  if (old != CompareStore::kNil) store_.erase(old);
+  store_.insert(SlotKind::kTombstone, key, now.ns(), -1, false);
 }
 
 bool CompareCore::recently_released_key(std::uint64_t key,
-                                        sim::TimePoint now) {
-  const auto it = tombstones_.find(key);
-  if (it == tombstones_.end()) return false;
-  if (now.ns() - it->second >= config_.hold_timeout.ns()) {
-    // Expired: a same-hash packet this far out is a legitimate repeat,
-    // exactly as the full cache treats a recreated entry after expiry.
-    tombstones_.erase(it);
-    return false;
-  }
-  return true;
+                                        sim::TimePoint now) const {
+  // An expired tombstone that the sweep has not reached yet no longer
+  // counts: a same-hash packet this far out is a legitimate repeat,
+  // exactly as a recreated entry after expiry is.
+  const Slot tomb = store_.find(SlotKind::kTombstone, key);
+  return tomb != CompareStore::kNil &&
+         now.ns() - store_.first_seen_ns(tomb) < config_.hold_timeout.ns();
 }
 
-void CompareCore::finalize_vote_death(std::uint64_t key,
-                                      std::uint64_t packet_id,
-                                      std::uint64_t mask, std::uint32_t bytes,
-                                      int first_replica, bool released,
-                                      bool escalated,
-                                      sim::TimePoint first_seen,
+void CompareCore::finalize_vote_death(const VoteEvicted& dead,
                                       sim::TimePoint now,
                                       obs::TraceEvent evict_event) {
-  if (escalated) return;  // routing memo: the full cache owns this packet
+  if (dead.escalated) return;  // routing memo: the entry owns this packet
+  const std::uint64_t mask = dead.mask;
+  const int first_replica = dead.first_replica;
   const int voters = std::popcount(mask);
-  if (released) {
+  if (dead.released) {
     // The slot is gone but the packet went out: sibling copies still in
     // flight must find the tombstone, not a vacant (re-releasable) key.
-    tombstone_release(key, now);
+    tombstone_release(dead.key, now);
     if (std::popcount(mask & live_mask_) >= live_quorum()) {
       // Quorum-vouched after the fact: the usual matched/missed and
       // case-3 inactivity accounting applies. Silent in the trace stream,
       // like the full path's completion retirement — the release record
       // already told the story.
-      finalize_masks(mask, first_seen, now);
+      finalize_masks(mask, sim::TimePoint::from_ns(dead.first_seen_ns), now);
     } else {
       // Released on healthy-first-copy trust but never confirmed — the
       // fast path's detection signal (kFirstCopy mismatch accounting).
@@ -296,7 +277,8 @@ void CompareCore::finalize_vote_death(std::uint64_t key,
         note_garbage(first_replica, now);
         verdict(VerdictKind::kDivergent, first_replica, now);
       }
-      trace_id(obs::TraceEvent::kCompareExpire, packet_id, bytes, now, -1);
+      trace_id(obs::TraceEvent::kCompareExpire, dead.packet_id, dead.bytes,
+               now, -1);
     }
     return;
   }
@@ -311,7 +293,7 @@ void CompareCore::finalize_vote_death(std::uint64_t key,
       ++stats_.evicted_timeout;  // §IV case 1, fast-path flavour
       break;
   }
-  trace_id(evict_event, packet_id, bytes, now,
+  trace_id(evict_event, dead.packet_id, dead.bytes, now,
            voters == 1 ? first_replica : -1);
   if (voters == 1 && first_replica >= 0) {
     note_garbage(first_replica, now);
@@ -321,9 +303,7 @@ void CompareCore::finalize_vote_death(std::uint64_t key,
 
 void CompareCore::drain_vote_evictions(sim::TimePoint now) {
   for (const VoteEvicted& ev : evicted_scratch_) {
-    finalize_vote_death(ev.key, ev.packet_id, ev.mask, ev.bytes,
-                        ev.first_replica, ev.released, ev.escalated,
-                        sim::TimePoint::from_ns(ev.first_seen_ns), now,
+    finalize_vote_death(ev, now,
                         ev.reason == VoteEvictReason::kQuota
                             ? obs::TraceEvent::kCompareEvictQuota
                             : obs::TraceEvent::kCompareEvictCapacity);
@@ -334,7 +314,7 @@ void CompareCore::drain_vote_evictions(sim::TimePoint now) {
 FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
                                        sim::TimePoint now) {
   FastResult out;
-  if (votes_ == nullptr) {  // sampling disabled: everything escalates
+  if (!config_.sampling.enabled) {  // everything escalates
     out.escalated = true;
     return out;
   }
@@ -344,16 +324,16 @@ FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
   }
 
   const std::uint64_t base = key_of(packet);
-  auto slot = votes_->find(base);
-  if (slot == WeightedVoteCache::kNil) {
+  Slot slot = store_.find(SlotKind::kVote, base);
+  if (slot == CompareStore::kNil) {
     // A release tombstone means this packet already went out and its
-    // cache state is gone (slot evicted under squeeze pressure, swept, or
-    // a released full entry erased). Absorb the straggler as late noise —
+    // state is gone (vote slot evicted under squeeze pressure, swept, or
+    // a released entry erased). Absorb the straggler as late noise —
     // re-running the election here could open a fresh releasable slot and
-    // emit the packet a second time. A live full-cache entry overrides
-    // the tombstone (a colliding *different* packet must still feed its
-    // own quorum).
-    if (recently_released_key(base, now) && !full_entry_exists(base, packet)) {
+    // emit the packet a second time. A live entry overrides the tombstone
+    // (a colliding *different* packet must still feed its own quorum).
+    const bool has_entry = find_entry(base, packet) != CompareStore::kNil;
+    if (!has_entry && recently_released_key(base, now)) {
       ++stats_.ingested;
       ++stats_.fastpath_ingested;
       ingested_counter_->inc();
@@ -363,15 +343,15 @@ FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
     }
     // The first copy decides the route for every later copy (memoized in
     // the slot): the deterministic election, overridden to "escalate"
-    // when the packet already lives in the full cache (restored entries,
-    // or copies that pre-date a period change) — splitting one packet's
-    // copies across both paths would starve its full-cache quorum.
-    const bool escalate = sampled_key(base, effective_period(now)) ||
-                          full_entry_exists(base, packet);
+    // when the packet already has an entry (restored entries, or copies
+    // that pre-date a period change) — splitting one packet's copies
+    // across both paths would starve its entry's quorum.
+    const bool escalate =
+        has_entry || sampled_key(base, effective_period(now));
     evicted_scratch_.clear();
-    slot = votes_->insert(base, packet.content_hash(), now.ns(),
-                          static_cast<std::uint32_t>(packet.size()), replica,
-                          escalate, evicted_scratch_);
+    slot = store_.insert_vote(base, packet.content_hash(), now.ns(),
+                              static_cast<std::uint32_t>(packet.size()),
+                              replica, escalate, evicted_scratch_);
     drain_vote_evictions(now);
     if (escalate) {
       ++stats_.sampled_escalated;
@@ -380,7 +360,7 @@ FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
       out.escalated = true;
       return out;
     }
-  } else if (votes_->escalated(slot)) {
+  } else if (store_.escalated(slot)) {
     out.escalated = true;  // memoized election: this packet is full-path
     return out;
   }
@@ -395,7 +375,7 @@ FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
   // at a time. This thinning is where the sampled mode's wall-clock win
   // comes from; the 1-in-N elected packets keep the full per-copy story
   // on the punt path.
-  const bool was_released = votes_->released(slot);
+  const bool was_released = store_.released(slot);
   ++stats_.ingested;
   ++stats_.fastpath_ingested;
   ingested_counter_->inc();
@@ -404,7 +384,7 @@ FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
   const double weight = replica_live(replica)
                             ? weights_[static_cast<std::size_t>(replica)]
                             : 0.0;  // probation copies never vote
-  if (!votes_->add_vote(slot, replica, weight)) {
+  if (!store_.add_vote(slot, replica, weight)) {
     ++stats_.duplicates_same_port;  // §IV case 2, fast-path flavour
     note_garbage(replica, now);
     trace(obs::TraceEvent::kCompareDuplicate, packet, now, replica);
@@ -412,16 +392,6 @@ FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
   }
   if (was_released) {
     ++stats_.late_after_release;
-    if (std::popcount(votes_->mask(slot)) == config_.k &&
-        !config_.retain_completed) {
-      finalize_masks(votes_->mask(slot),
-                     sim::TimePoint::from_ns(votes_->first_seen_ns(slot)),
-                     now);
-      // Eager completion erase: a byzantine re-send of the same packet
-      // after this must land on the tombstone, not on a fresh election.
-      tombstone_release(base, now);
-      votes_->erase(slot);
-    }
     return out;
   }
 
@@ -432,12 +402,12 @@ FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
   const bool release_now =
       replica_live(replica) &&
       (weight >= config_.sampling.healthy_weight ||
-       votes_->tally(slot) > live_weight_total() / 2.0);
+       store_.tally(slot) > live_weight_total() / 2.0);
   if (!release_now) {
     trace(obs::TraceEvent::kCompareIngest, packet, now, replica);
     return out;
   }
-  votes_->set_released(slot);
+  store_.set_released(slot);
   if (shadow_) [[unlikely]] {
     ++stats_.shadow_releases;
     trace(obs::TraceEvent::kCompareSuppressed, packet, now, replica);
@@ -448,7 +418,7 @@ FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
   released_counter_->inc();
   if (fastpath_counter_ != nullptr) fastpath_counter_->inc();
   verdict_latency_->observe(
-      (now - sim::TimePoint::from_ns(votes_->first_seen_ns(slot))).us());
+      (now - sim::TimePoint::from_ns(store_.first_seen_ns(slot))).us());
   trace(obs::TraceEvent::kCompareFastpath, packet, now, replica);
   out.released = packet;
   return out;
@@ -468,69 +438,18 @@ std::optional<net::Packet> CompareCore::ingest(int replica, net::Packet packet,
   note_arrival(replica, now);
   trace(obs::TraceEvent::kCompareIngest, packet, now, replica);
 
-  // Find the entry for this packet. Hash collisions between *different*
-  // packets are resolved by probing a perturbed key — deterministic, so
-  // every copy of the same packet lands in the same slot. The probe must
-  // scan the whole occupied depth of the chain, not stop at the first
-  // absent key: evictions leave holes, and a copy that stopped short
-  // would start a second entry for a packet that already has one deeper
-  // in the chain (splitting its contributions and starving its quorum).
-  const std::uint64_t base = key_of(packet);
-  std::uint32_t chain_limit = 0;
-  if (const auto cit = chains_.find(base); cit != chains_.end()) {
-    chain_limit = cit->second.max_depth;
-  }
-  std::uint64_t probe = base;
-  std::uint64_t key = 0;
-  std::uint32_t depth = 0;
-  bool have_slot = false;
-  auto it = cache_.end();
-  for (std::uint32_t d = 0; d <= chain_limit; ++d) {
-    const auto hit = cache_.find(probe);
-    if (hit == cache_.end()) {
-      if (!have_slot) {  // remember the shallowest hole for reuse
-        have_slot = true;
-        key = probe;
-        depth = d;
-      }
-    } else if (hit->second.base_key == base &&
-               same_packet(hit->second.exemplar, packet)) {
-      it = hit;
-      key = probe;
-      depth = d;
-      break;
-    }
-    probe = hash_mix(probe, kProbeSalt);
-  }
-  if (it == cache_.end() && !have_slot) {
-    // Chain fully occupied by other packets: extend past its tail
-    // (skipping any coincidentally occupied foreign keys).
-    depth = chain_limit;
-    for (;;) {
-      ++depth;
-      if (cache_.find(probe) == cache_.end()) break;
-      probe = hash_mix(probe, kProbeSalt);
-    }
-    key = probe;
-  }
+  const std::uint64_t key = key_of(packet);
+  const Slot entry = find_entry(key, packet);
 
-  const std::uint64_t bit = 1ULL << static_cast<unsigned>(replica);
-
-  if (it == cache_.end()) {
+  if (entry == CompareStore::kNil) {
     // First copy of a (possibly fabricated) packet. Caching the exemplar
-    // is a refcount bump on the shared payload, not a deep copy.
-    Entry entry;
-    entry.key = key;
-    entry.base_key = base;
-    entry.probe_depth = depth;
-    entry.exemplar = std::move(packet);
-    entry.replica_mask = bit;
-    entry.contributions = 1;
-    entry.first_replica = replica;
-    entry.holds_singleton_slot = true;
-    entry.first_seen = now;
-    age_.push_back(key);
-    entry.age_it = std::prev(age_.end());
+    // is a refcount bump on the shared payload, not a deep copy. It holds
+    // a slot of its replica's singleton quota until a second replica
+    // confirms — released or not.
+    const Slot fresh = store_.insert(SlotKind::kEntry, key, now.ns(), replica,
+                                     /*holds_quota=*/true);
+    store_.add_vote(fresh, replica, 0.0);
+    store_.exemplar(fresh) = std::move(packet);
 
     // A copy from a non-live (probation) replica never releases anything:
     // it is cached, compared, and judged, but carries no vote. With all k
@@ -539,86 +458,72 @@ std::optional<net::Packet> CompareCore::ingest(int replica, net::Packet packet,
         replica_live(replica) &&
         (config_.policy == ReleasePolicy::kFirstCopy ||
          degraded_first_copy() || live_quorum() == 1);
-    entry.released = release_now;
     std::optional<net::Packet> released;
     if (release_now) {
+      store_.set_released(fresh);
       if (shadow_) [[unlikely]] {
         // Standby shadow mode: the quorum is tracked (the entry stays
         // marked released so promotion can never re-emit it) but the
         // packet is withheld — the primary owns the egress.
         ++stats_.shadow_releases;
-        trace(obs::TraceEvent::kCompareSuppressed, entry.exemplar, now,
-              replica);
+        trace(obs::TraceEvent::kCompareSuppressed, store_.exemplar(fresh),
+              now, replica);
       } else {
         ++stats_.released;
         released_counter_->inc();
         verdict_latency_->observe(0.0);
-        trace(obs::TraceEvent::kCompareRelease, entry.exemplar, now, replica);
-        released = entry.exemplar;
+        trace(obs::TraceEvent::kCompareRelease, store_.exemplar(fresh), now,
+              replica);
+        released = store_.exemplar(fresh);
       }
     }
 
-    cache_.emplace(key, std::move(entry));
-    if (depth > 0) {
-      Chain& chain = chains_[base];
-      ++chain.live;
-      chain.max_depth = std::max(chain.max_depth, depth);
-    }
-    stats_.cache_entries = cache_.size();
+    stats_.cache_entries = store_.size(SlotKind::kEntry);
     stats_.max_cache_entries =
         std::max(stats_.max_cache_entries, stats_.cache_entries);
-
-    auto& count = singleton_count_[static_cast<std::size_t>(replica)];
-    ++count;
-    if (count > config_.per_replica_quota) quota_evict(replica, now);
-    if (cache_.size() > config_.cache_capacity) capacity_cleanup(now);
+    if (store_.quota_count(SlotKind::kEntry, replica) >
+        config_.per_replica_quota) {
+      quota_evict(replica, now);
+    }
+    if (store_.size(SlotKind::kEntry) > config_.cache_capacity) {
+      capacity_cleanup(now);
+    }
     return released;
   }
 
-  Entry& entry = it->second;
-  if (entry.replica_mask & bit) {
+  if (!store_.add_vote(entry, replica, 0.0)) {
     // Same replica, same packet again: §IV case 2 (DoS signature).
     ++stats_.duplicates_same_port;
     note_garbage(replica, now);
-    trace(obs::TraceEvent::kCompareDuplicate, entry.exemplar, now, replica);
+    trace(obs::TraceEvent::kCompareDuplicate, store_.exemplar(entry), now,
+          replica);
     return std::nullopt;
   }
+  // The second contribution returned the singleton-quota slot — also for
+  // a kFirstCopy entry released on arrival, which kept its slot until the
+  // partner confirmed.
 
-  if (entry.holds_singleton_slot) {
-    // No longer a singleton: release the isolation-quota slot. This also
-    // covers a kFirstCopy entry that was released on arrival — it keeps
-    // its slot until the partner confirms (or the entry is erased).
-    auto& count = singleton_count_[static_cast<std::size_t>(entry.first_replica)];
-    if (count > 0) --count;
-    entry.holds_singleton_slot = false;
-  }
-  entry.replica_mask |= bit;
-  ++entry.contributions;
-
-  if (entry.released) {
+  if (store_.released(entry)) {
     ++stats_.late_after_release;
-    trace(obs::TraceEvent::kCompareLate, entry.exemplar, now, replica);
-    if (entry.contributions == config_.k && !config_.retain_completed) {
-      finalize(entry, now);
-      erase_entry(key, now);
-    }
+    trace(obs::TraceEvent::kCompareLate, store_.exemplar(entry), now,
+          replica);
     return std::nullopt;
   }
 
   // Release decision over the *live* set: a probation copy never votes,
   // and the quorum is a strict majority of live replicas (first copy once
   // the live set has degraded to detection mode). With all replicas live
-  // the live contribution count equals entry.contributions and this is the
-  // original majority test, bit for bit.
+  // the live contribution count equals the entry's contributions and this
+  // is the original majority test, bit for bit.
   const bool first_copy_mode =
       config_.policy == ReleasePolicy::kFirstCopy || degraded_first_copy();
   const int live_contributions =
-      std::popcount(entry.replica_mask & live_mask_);
+      std::popcount(store_.mask(entry) & live_mask_);
   if (replica_live(replica) &&
       (first_copy_mode ? live_contributions >= 1
                        : live_contributions >= live_quorum())) {
-    entry.released = true;
-    if (shadow_ || entry.recovered) [[unlikely]] {
+    store_.set_released(entry);
+    if (shadow_ || store_.recovered(entry)) [[unlikely]] {
       // Withheld release: either this core is a shadow standby (the
       // primary owns the egress), or the entry was restored from a
       // checkpoint and may already have been released before the crash.
@@ -629,34 +534,28 @@ std::optional<net::Packet> CompareCore::ingest(int replica, net::Packet packet,
       } else {
         ++stats_.suppressed_recovered;
       }
-      trace(obs::TraceEvent::kCompareSuppressed, entry.exemplar, now,
+      trace(obs::TraceEvent::kCompareSuppressed, store_.exemplar(entry), now,
             replica);
-      if (entry.contributions == config_.k && !config_.retain_completed) {
-        finalize(entry, now);
-        erase_entry(key, now);
-      }
       return std::nullopt;
     }
     ++stats_.released;
     released_counter_->inc();
-    verdict_latency_->observe((now - entry.first_seen).us());
-    trace(obs::TraceEvent::kCompareRelease, entry.exemplar, now, replica);
-    net::Packet released = entry.exemplar;
-    if (entry.contributions == config_.k && !config_.retain_completed) {
-      finalize(entry, now);
-      erase_entry(key, now);
-    }
-    return released;
+    verdict_latency_->observe(
+        (now - sim::TimePoint::from_ns(store_.first_seen_ns(entry))).us());
+    trace(obs::TraceEvent::kCompareRelease, store_.exemplar(entry), now,
+          replica);
+    return store_.exemplar(entry);
   }
   return std::nullopt;
 }
 
-void CompareCore::finalize(Entry& entry, sim::TimePoint now) {
+void CompareCore::finalize(Slot entry, sim::TimePoint now) {
   // Inactivity accounting runs only for packets the quorum vouched for:
   // a replica missing from an agreed packet is suspect; replicas absent
   // from a fabricated minority packet are not.
-  if (!entry.released) return;
-  finalize_masks(entry.replica_mask, entry.first_seen, now);
+  if (!store_.released(entry)) return;
+  finalize_masks(store_.mask(entry),
+                 sim::TimePoint::from_ns(store_.first_seen_ns(entry)), now);
 }
 
 void CompareCore::finalize_masks(std::uint64_t replica_mask,
@@ -696,99 +595,66 @@ void CompareCore::finalize_masks(std::uint64_t replica_mask,
   }
 }
 
-void CompareCore::erase_entry(std::uint64_t key, sim::TimePoint now) {
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) return;
-  Entry& entry = it->second;
-  if (entry.released) {
-    // Fast-path backstop (no-op while sampling is off): once a released
-    // full entry is gone, a straggler copy on the *fast* path must not
-    // elect a fresh releasable slot for the same key — the full path's
-    // recreate-needs-quorum protection does not exist there. Keyed by the
-    // base so it matches the vote cache's keying.
-    tombstone_release(entry.base_key, now);
-  }
-  if (entry.holds_singleton_slot) {
-    // Any eviction path returns the quota slot — including a released
-    // kFirstCopy singleton whose partner never confirmed. The old check
-    // (contributions == 1 && !released) skipped that case, so every such
-    // packet leaked a slot and the quota drifted until honest traffic
-    // was being evicted as "flood".
-    auto& count = singleton_count_[static_cast<std::size_t>(entry.first_replica)];
-    if (count > 0) --count;
-  }
-  if (entry.probe_depth > 0) {
-    const auto cit = chains_.find(entry.base_key);
-    if (cit != chains_.end() && --cit->second.live == 0) chains_.erase(cit);
-  }
-  age_.erase(entry.age_it);
-  cache_.erase(it);
-  stats_.cache_entries = cache_.size();
+void CompareCore::erase_entry(Slot entry, sim::TimePoint now) {
+  // Fast-path backstop (no-op while sampling is off): once a released
+  // entry is gone, a straggler copy on the *fast* path must not elect a
+  // fresh releasable vote slot for the same key — the full path's
+  // recreate-needs-quorum protection does not exist there.
+  if (store_.released(entry)) tombstone_release(store_.key(entry), now);
+  // Any eviction path returns the quota slot — including a released
+  // kFirstCopy singleton whose partner never confirmed.
+  store_.erase(entry);
+  stats_.cache_entries = store_.size(SlotKind::kEntry);
 }
 
 std::size_t CompareCore::sweep(sim::TimePoint now) {
   std::size_t evicted = 0;
-  while (!age_.empty()) {
-    const std::uint64_t key = age_.front();
-    const auto it = cache_.find(key);
-    NETCO_ASSERT(it != cache_.end());
-    Entry& entry = it->second;
-    if (now - entry.first_seen < config_.hold_timeout) break;  // age order
-    if (entry.released) {
+  // One horizon for every kind: first_seen <= now - hold_timeout dies.
+  const std::int64_t horizon = now.ns() - config_.hold_timeout.ns() + 1;
+  for (Slot entry = store_.head(SlotKind::kEntry);
+       entry != CompareStore::kNil && store_.first_seen_ns(entry) < horizon;
+       entry = store_.head(SlotKind::kEntry)) {
+    const std::uint64_t mask = store_.mask(entry);
+    if (store_.released(entry)) {
       // Normal death of an agreed packet whose stragglers never came.
       finalize(entry, now);
       if ((config_.policy == ReleasePolicy::kFirstCopy ||
            degraded_first_copy()) &&
-          std::popcount(entry.replica_mask & live_mask_) < live_count_) {
+          std::popcount(mask & live_mask_) < live_count_) {
         ++stats_.mismatch_detected;  // detection mode: partner disagreed
         // Attribute the disagreement: every live replica that failed to
         // confirm the released packet is a suspect (§IV detection).
         // Probation replicas are judged through their verdicts instead.
         for (int r = 0; r < config_.k; ++r) {
           const std::uint64_t bit = 1ULL << static_cast<unsigned>(r);
-          if ((live_mask_ & bit) != 0 && (entry.replica_mask & bit) == 0) {
-            trace(obs::TraceEvent::kCompareMismatch, entry.exemplar, now, r);
+          if ((live_mask_ & bit) != 0 && (mask & bit) == 0) {
+            trace(obs::TraceEvent::kCompareMismatch, store_.exemplar(entry),
+                  now, r);
           }
         }
       }
-      trace(obs::TraceEvent::kCompareExpire, entry.exemplar, now, -1);
+      trace(obs::TraceEvent::kCompareExpire, store_.exemplar(entry), now, -1);
     } else {
       ++stats_.evicted_timeout;  // §IV case 1: minority packet, never sent
-      trace(obs::TraceEvent::kCompareEvictTimeout, entry.exemplar, now,
-            entry.contributions == 1 ? entry.first_replica : -1);
-      if (entry.contributions == 1) {
+      const bool singleton = std::popcount(mask) == 1;
+      const int first_replica = store_.first_replica(entry);
+      trace(obs::TraceEvent::kCompareEvictTimeout, store_.exemplar(entry),
+            now, singleton ? first_replica : -1);
+      if (singleton) {
         // A singleton that nobody confirmed is attributable garbage.
-        note_garbage(entry.first_replica, now);
+        note_garbage(first_replica, now);
         divergent_verdict(entry, now);
       }
     }
-    erase_entry(key, now);
+    erase_entry(entry, now);
     ++evicted;
   }
-  if (votes_ != nullptr) {
-    // Same horizon as the full cache: first_seen <= now - hold_timeout
-    // dies (the vote sweep's strict `<` plus the +1 matches the full
-    // path's `now - first_seen >= hold_timeout` exactly).
-    const std::int64_t horizon = now.ns() - config_.hold_timeout.ns() + 1;
-    votes_->sweep(horizon, [&](WeightedVoteCache::Slot s) {
-      finalize_vote_death(votes_->key_of(s), votes_->packet_id(s),
-                          votes_->mask(s), votes_->bytes(s),
-                          votes_->first_replica(s), votes_->released(s),
-                          votes_->escalated(s),
-                          sim::TimePoint::from_ns(votes_->first_seen_ns(s)),
-                          now, obs::TraceEvent::kCompareEvictTimeout);
-      ++evicted;
-    });
-    // Expired tombstones go with the same horizon; the map entry is only
-    // forgotten if no fresher tombstone for the key overwrote it.
-    const std::int64_t dead_ns = now.ns() - config_.hold_timeout.ns();
-    while (!tombstone_fifo_.empty() && tombstone_fifo_.front().first <= dead_ns) {
-      const auto [ns, key] = tombstone_fifo_.front();
-      const auto it = tombstones_.find(key);
-      if (it != tombstones_.end() && it->second == ns) tombstones_.erase(it);
-      tombstone_fifo_.pop_front();
-    }
-  }
+  store_.sweep(SlotKind::kVote, horizon, [&](Slot vote) {
+    finalize_vote_death(store_.vote_state(vote), now,
+                        obs::TraceEvent::kCompareEvictTimeout);
+    ++evicted;
+  });
+  store_.sweep(SlotKind::kTombstone, horizon, [](Slot) {});
   return evicted;
 }
 
@@ -797,25 +663,26 @@ void CompareCore::capacity_cleanup(sim::TimePoint now) {
   const auto target = static_cast<std::size_t>(
       static_cast<double>(config_.cache_capacity) * config_.cleanup_low_water);
   std::size_t work = 0;
-  while (cache_.size() > target && !age_.empty()) {
-    const std::uint64_t key = age_.front();
-    auto& entry = cache_.at(key);
-    if (entry.released) {
+  while (store_.size(SlotKind::kEntry) > target) {
+    const Slot entry = store_.head(SlotKind::kEntry);
+    if (store_.released(entry)) {
       finalize(entry, now);
-      trace(obs::TraceEvent::kCompareExpire, entry.exemplar, now, -1);
+      trace(obs::TraceEvent::kCompareExpire, store_.exemplar(entry), now, -1);
     } else {
       ++stats_.evicted_capacity;
-      trace(obs::TraceEvent::kCompareEvictCapacity, entry.exemplar, now,
-            entry.contributions == 1 ? entry.first_replica : -1);
-      if (entry.contributions == 1) {
+      const bool singleton = std::popcount(store_.mask(entry)) == 1;
+      const int first_replica = store_.first_replica(entry);
+      trace(obs::TraceEvent::kCompareEvictCapacity, store_.exemplar(entry),
+            now, singleton ? first_replica : -1);
+      if (singleton) {
         // A singleton squeezed out under memory pressure is just as
         // attributable as one that timed out — the garbage monitor must
         // see flood traffic regardless of which eviction path fires.
-        note_garbage(entry.first_replica, now);
+        note_garbage(first_replica, now);
         divergent_verdict(entry, now);
       }
     }
-    erase_entry(key, now);
+    erase_entry(entry, now);
     ++work;
   }
   last_cleanup_work_ = work;
@@ -823,18 +690,18 @@ void CompareCore::capacity_cleanup(sim::TimePoint now) {
 
 void CompareCore::quota_evict(int replica, sim::TimePoint now) {
   // The paper's logically-isolated buffers: a replica flooding unique
-  // packets can only consume its own quota. Evict its oldest singleton.
-  for (auto age_it = age_.begin(); age_it != age_.end(); ++age_it) {
-    const auto it = cache_.find(*age_it);
-    NETCO_ASSERT(it != cache_.end());
-    const Entry& entry = it->second;
-    if (!entry.released && entry.contributions == 1 &&
-        entry.first_replica == replica) {
+  // packets can only consume its own quota. Evict its oldest unreleased
+  // singleton.
+  for (Slot entry = store_.head(SlotKind::kEntry); entry != CompareStore::kNil;
+       entry = store_.next_in_age(entry)) {
+    if (!store_.released(entry) && std::popcount(store_.mask(entry)) == 1 &&
+        store_.first_replica(entry) == replica) {
       ++stats_.evicted_quota;
-      trace(obs::TraceEvent::kCompareEvictQuota, entry.exemplar, now, replica);
+      trace(obs::TraceEvent::kCompareEvictQuota, store_.exemplar(entry), now,
+            replica);
       note_garbage(replica, now);
       divergent_verdict(entry, now);
-      erase_entry(*age_it, now);
+      erase_entry(entry, now);
       return;
     }
   }
@@ -846,50 +713,18 @@ CompareAdvice CompareCore::take_advice() {
   return out;
 }
 
-CompareAudit CompareCore::audit() const {
-  CompareAudit out;
-  out.cache_entries = cache_.size();
-  out.age_entries = age_.size();
-  out.cache_capacity = config_.cache_capacity;
-  out.quota_counts = singleton_count_;
-  out.live_singletons.assign(singleton_count_.size(), 0);
-  for (const auto& [key, entry] : cache_) {
-    // Ground truth, independent of the incremental flag: an entry holds a
-    // quota slot exactly while it has a single contribution.
-    if (entry.contributions == 1) {
-      ++out.live_singletons[static_cast<std::size_t>(entry.first_replica)];
-    }
-  }
-  std::int64_t prev_ns = std::numeric_limits<std::int64_t>::min();
-  for (auto it = age_.begin(); it != age_.end(); ++it) {
-    const auto cit = cache_.find(*it);
-    if (cit == cache_.end() || cit->second.age_it != it) {
-      out.age_cache_consistent = false;
-      continue;
-    }
-    if (cit->second.first_seen.ns() < prev_ns) out.age_ordered = false;
-    prev_ns = cit->second.first_seen.ns();
-  }
-  if (out.cache_entries != out.age_entries) out.age_cache_consistent = false;
-  if (votes_ != nullptr) {
-    out.vote_active = true;
-    out.vote = votes_->audit();
-  }
-  return out;
-}
+CompareAudit CompareCore::audit() const { return store_.audit(); }
 
 void CompareCore::set_cache_capacity(std::size_t capacity, sim::TimePoint now) {
   config_.cache_capacity = capacity;
-  if (cache_.size() > config_.cache_capacity) capacity_cleanup(now);
-  if (votes_ != nullptr) {
-    // The squeeze binds both stores: the vote cache shrinks to the lesser
-    // of its own configured bound and the new full-cache capacity, and
-    // every expelled slot is accounted for (no stranded entries).
-    evicted_scratch_.clear();
-    votes_->set_capacity(std::min(config_.sampling.vote_capacity, capacity),
-                         evicted_scratch_);
-    drain_vote_evictions(now);
+  if (store_.size(SlotKind::kEntry) > config_.cache_capacity) {
+    capacity_cleanup(now);
   }
+  // The squeeze binds the vote slots too, and every expelled slot is
+  // accounted for (no stranded votes).
+  evicted_scratch_.clear();
+  store_.set_capacity(capacity, evicted_scratch_);
+  drain_vote_evictions(now);
 }
 
 CompareSnapshot CompareCore::snapshot(sim::TimePoint now) const {
@@ -906,35 +741,33 @@ CompareSnapshot CompareCore::snapshot(sim::TimePoint now) const {
   snap.flagged_block.assign(flagged_block_.begin(), flagged_block_.end());
   snap.flagged_inactive.assign(flagged_inactive_.begin(),
                                flagged_inactive_.end());
-  snap.entries.reserve(cache_.size());
+  snap.entries.reserve(store_.size(SlotKind::kEntry));
   // Age order, oldest first: restore() re-inserts in this order, so the
   // rebuilt age list is byte-for-byte the original eviction order.
-  for (const std::uint64_t key : age_) {
-    const Entry& e = cache_.at(key);
+  for (Slot e = store_.head(SlotKind::kEntry); e != CompareStore::kNil;
+       e = store_.next_in_age(e)) {
     SnapshotEntry se;
-    se.key = e.key;
-    se.base_key = e.base_key;
-    se.probe_depth = e.probe_depth;
-    const auto bytes = e.exemplar.bytes();
+    se.key = store_.key(e);
+    const auto bytes = store_.exemplar(e).bytes();
     se.payload.assign(bytes.begin(), bytes.end());
-    se.replica_mask = e.replica_mask;
-    se.contributions = e.contributions;
-    se.first_replica = e.first_replica;
-    se.holds_singleton_slot = e.holds_singleton_slot;
-    se.released = e.released;
-    se.recovered = e.recovered;
-    se.first_seen_ns = e.first_seen.ns();
+    se.replica_mask = store_.mask(e);
+    se.first_replica = store_.first_replica(e);
+    se.holds_singleton_slot = store_.holds_quota(e);
+    se.released = store_.released(e);
+    se.recovered = store_.recovered(e);
+    se.first_seen_ns = store_.first_seen_ns(e);
     snap.entries.push_back(std::move(se));
   }
   return snap;
 }
 
 void CompareCore::restore(const CompareSnapshot& snap, sim::TimePoint now) {
-  cache_.clear();
-  chains_.clear();
-  age_.clear();
+  // Fast-path state is NOT checkpointed (vote slots are a routing memo
+  // plus unconfirmed tallies — conservatively droppable), and tombstones
+  // go with it: during the post-restore pin below every packet escalates,
+  // and the entries' recovered taint owns the at-most-once guarantee.
+  store_.clear();
   const auto n = static_cast<std::size_t>(config_.k);
-  singleton_count_.assign(n, 0);
   // Rate/garbage windows intentionally restart empty: replaying pre-crash
   // arrivals would re-accuse replicas for traffic already judged.
   arrival_ns_.assign(n, {});
@@ -963,50 +796,26 @@ void CompareCore::restore(const CompareSnapshot& snap, sim::TimePoint now) {
   }
 
   for (const SnapshotEntry& se : snap.entries) {
-    Entry e;
-    e.key = se.key;
-    e.base_key = se.base_key;
-    e.probe_depth = se.probe_depth;
-    e.exemplar = net::Packet(std::vector<std::byte>(se.payload));
-    e.replica_mask = se.replica_mask;
-    e.contributions = se.contributions;
-    e.first_replica = se.first_replica;
-    e.holds_singleton_slot = se.holds_singleton_slot;
-    e.released = se.released;
+    const Slot e = store_.insert(SlotKind::kEntry, se.key, se.first_seen_ns,
+                                 se.first_replica, se.holds_singleton_slot);
+    store_.exemplar(e) = net::Packet(std::vector<std::byte>(se.payload));
+    store_.set_mask(e, se.replica_mask);
+    if (se.released) store_.set_released(e);
     // The conservative-replay taint: an unreleased checkpoint entry may
     // have been released between the checkpoint and the crash, so its
     // post-restart quorum must never release again.
-    e.recovered = se.recovered || !se.released;
-    e.first_seen = sim::TimePoint::from_ns(se.first_seen_ns);
-    age_.push_back(se.key);
-    e.age_it = std::prev(age_.end());
-    if (e.holds_singleton_slot &&
-        e.first_replica >= 0 && static_cast<std::size_t>(e.first_replica) < n) {
-      ++singleton_count_[static_cast<std::size_t>(e.first_replica)];
-    }
-    if (e.probe_depth > 0) {
-      Chain& chain = chains_[e.base_key];
-      ++chain.live;
-      chain.max_depth = std::max(chain.max_depth, e.probe_depth);
-    }
-    cache_.emplace(se.key, std::move(e));
+    if (se.recovered || !se.released) store_.set_recovered(e);
   }
-  stats_.cache_entries = cache_.size();
+  stats_.cache_entries = store_.size(SlotKind::kEntry);
   stats_.max_cache_entries =
       std::max(stats_.max_cache_entries, stats_.cache_entries);
 
-  if (votes_ != nullptr) {
-    // Fast-path state is NOT checkpointed (it is a routing memo plus
-    // unconfirmed tallies — conservatively droppable). After a restore
-    // the core fully verifies for one hold window: restored entries force
-    // their copies to escalate anyway (full_entry_exists), and pinning
-    // the period keeps fresh pre-crash in-flight copies off a vote cache
-    // that no longer remembers their releases. Tombstones go with it:
-    // during the pin every packet escalates, and the full path's
-    // recovered-entry taint owns the at-most-once guarantee.
-    votes_->clear();
-    tombstones_.clear();
-    tombstone_fifo_.clear();
+  if (config_.sampling.enabled) {
+    // After a restore the core fully verifies for one hold window:
+    // restored entries force their copies to escalate anyway
+    // (find_entry), and pinning the period keeps fresh pre-crash
+    // in-flight copies off vote slots that no longer remember their
+    // releases.
     sampling_resume_at_ = now + config_.hold_timeout;
   }
 }

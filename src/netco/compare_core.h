@@ -30,16 +30,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <list>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.h"
+#include "netco/compare_store.h"
 #include "netco/verdict.h"
-#include "netco/vote_cache.h"
 #include "obs/observability.h"
 #include "sim/time.h"
 
@@ -77,11 +74,8 @@ struct CompareSampling {
   /// on the fast path, and the adaptive period stays wide only while all
   /// live replicas clear this bar.
   double healthy_weight = 0.75;
-  /// Weighted-vote cache capacity (clamped to cache_capacity so a cache
-  /// squeeze bounds both stores).
-  std::size_t vote_capacity = 4096;
-  /// Per-replica singleton quota in the vote cache (same isolation as the
-  /// full cache's per_replica_quota).
+  /// Per-replica singleton quota of the vote slots (same isolation as the
+  /// entries' per_replica_quota). Their capacity is cache_capacity.
   std::size_t vote_quota = 1024;
 };
 
@@ -96,7 +90,8 @@ struct CompareConfig {
   /// paper: "a function of the latencies of all the connected devices".
   sim::Duration hold_timeout = sim::Duration::milliseconds(20);
   /// Global cache capacity in entries; exceeding it triggers a cleanup
-  /// pass (oldest-first eviction down to the low-water mark).
+  /// pass (oldest-first eviction down to the low-water mark). It bounds
+  /// the fast path's vote slots too.
   std::size_t cache_capacity = 2048;
   /// Cleanup evicts down to this fraction of capacity.
   double cleanup_low_water = 0.9;
@@ -118,15 +113,10 @@ struct CompareConfig {
   /// Consecutive finalized packets missing a replica before the
   /// unavailability alarm fires.
   std::uint64_t inactivity_threshold = 50;
-  /// Paper-faithful retention: a released entry whose k copies all arrived
-  /// stays cached until the hold timeout or a capacity cleanup, like the
-  /// prototype's packet cache. false = eager erasure (lower memory; used
-  /// by deployments that prefer a tight cache).
-  bool retain_completed = true;
   /// Mask applied to every cache key. ~0 (default) keeps the full 64-bit
-  /// hash; narrowing it models a memory-constrained key space and forces
-  /// the perturbed-key collision chains to engage (tests use this to forge
-  /// deterministic collisions).
+  /// hash; narrowing it models a memory-constrained key space and makes
+  /// distinct packets share a key (tests use this to forge deterministic
+  /// collisions).
   std::uint64_t key_mask = ~0ULL;
   /// Sampled-verification fast path (disabled by default).
   CompareSampling sampling{};
@@ -160,15 +150,13 @@ struct CompareStats {
   std::size_t max_cache_entries = 0;
 };
 
-/// One cache entry, externalized for checkpointing (src/resilience). The
-/// exemplar travels as raw wire bytes; everything else mirrors Entry.
+/// One full-verify entry, externalized for checkpointing (src/resilience).
+/// The exemplar travels as raw wire bytes; everything else mirrors the
+/// entry slot.
 struct SnapshotEntry {
   std::uint64_t key = 0;
-  std::uint64_t base_key = 0;
-  std::uint32_t probe_depth = 0;
   std::vector<std::byte> payload;
   std::uint64_t replica_mask = 0;
-  int contributions = 0;
   int first_replica = 0;
   bool holds_singleton_slot = false;
   bool released = false;
@@ -191,28 +179,6 @@ struct CompareSnapshot {
   std::vector<bool> flagged_block;
   std::vector<bool> flagged_inactive;
   std::vector<SnapshotEntry> entries;  ///< oldest first (age order)
-};
-
-/// Self-audit snapshot of the cache bookkeeping, for online invariant
-/// checking (fault-injection soaks call this between batches). The audit
-/// recomputes ground truth from the cache itself so it catches drift in
-/// the incrementally maintained counters.
-struct CompareAudit {
-  std::size_t cache_entries = 0;    ///< cache_.size()
-  std::size_t age_entries = 0;      ///< age list length
-  std::size_t cache_capacity = 0;   ///< configured bound
-  /// Every age-list key resolves to a cache entry whose stored age
-  /// iterator points back at that position, and the two sizes match.
-  bool age_cache_consistent = true;
-  /// The age list is oldest-first (first_seen non-decreasing).
-  bool age_ordered = true;
-  /// The incrementally maintained per-replica quota counters...
-  std::vector<std::uint64_t> quota_counts;
-  /// ...versus a fresh recount of live single-contribution entries.
-  std::vector<std::uint64_t> live_singletons;
-  /// Weighted-vote-cache bookkeeping (meaningful when vote_active).
-  bool vote_active = false;
-  VoteCacheAudit vote;
 };
 
 /// Outcome of one fast-path ingest (see CompareCore::ingest_sampled).
@@ -247,9 +213,9 @@ class CompareCore {
 
   // --- sampled-verification fast path (§XII) ----------------------------
 
-  /// Fast-path ingest: consults the weighted vote cache instead of the
+  /// Fast-path ingest: consults the packet's vote slot instead of the
   /// full compare. Three outcomes: the copy is *escalated* (its packet is
-  /// elected for full verification, or already lives in the full cache —
+  /// elected for full verification, or already has a full-verify entry —
   /// the caller punts it through the normal ingest() path), it *votes*
   /// (its replica's health weight joins the packet's tally; the first
   /// copy from a healthy live replica — or the copy that pushes the tally
@@ -274,13 +240,12 @@ class CompareCore {
   [[nodiscard]] std::uint32_t effective_period(sim::TimePoint now) const
       noexcept;
 
-  /// The weighted vote cache (nullptr while sampling is disabled).
-  [[nodiscard]] const WeightedVoteCache* vote_cache() const noexcept {
-    return votes_.get();
-  }
+  /// The packet store: full-verify entries, vote slots and tombstones.
+  [[nodiscard]] const CompareStore& store() const noexcept { return store_; }
 
-  /// Evicts entries whose hold time expired. Call periodically (the
-  /// deployment wrappers do). Returns the number of entries evicted.
+  /// Evicts entries and vote slots whose hold time expired, then expired
+  /// tombstones. Call periodically (the deployment wrappers do). Returns
+  /// the number of entries and vote slots evicted.
   std::size_t sweep(sim::TimePoint now);
 
   /// Entries the last ingest()/sweep() cleaned up in a capacity pass —
@@ -298,13 +263,14 @@ class CompareCore {
   /// The configuration in force.
   [[nodiscard]] const CompareConfig& config() const noexcept { return config_; }
 
-  /// Recomputes the cache bookkeeping from scratch (O(cache size)) so an
+  /// Recomputes the store's bookkeeping from scratch (O(arena)) so an
   /// external checker can compare it against the incremental counters.
   [[nodiscard]] CompareAudit audit() const;
 
   /// Fault/pressure injection: rebinds the cache capacity mid-run. A
   /// squeeze below the current occupancy triggers an immediate cleanup
-  /// pass (billable via last_cleanup_work(), like any other pass).
+  /// pass (billable via last_cleanup_work(), like any other pass), and
+  /// then evicts vote slots down to the new bound.
   void set_cache_capacity(std::size_t capacity, sim::TimePoint now);
 
   // --- crash-recovery integration (src/resilience) ----------------------
@@ -378,85 +344,50 @@ class CompareCore {
   }
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    std::uint64_t base_key = 0;   ///< unperturbed key (collision-chain id)
-    std::uint32_t probe_depth = 0;  ///< position in the perturbed-key chain
-    net::Packet exemplar;         ///< first copy received
-    std::uint64_t replica_mask = 0;
-    int contributions = 0;
-    int first_replica = 0;  ///< quota accounting while a singleton
-    /// True while this entry occupies a slot of first_replica's singleton
-    /// quota. Tracked explicitly (rather than re-derived from
-    /// contributions/released at erase time) so every eviction path
-    /// returns the slot — a released-but-unconfirmed kFirstCopy singleton
-    /// used to leak its slot and drift the quota upward forever.
-    bool holds_singleton_slot = false;
-    bool released = false;
-    /// Restored from a checkpoint while unreleased: its pre-crash release
-    /// status is unknowable, so any later quorum is suppressed (see
-    /// restore()). Never set on entries created by live traffic.
-    bool recovered = false;
-    sim::TimePoint first_seen;
-    /// Position in the age list for O(1) eviction.
-    std::list<std::uint64_t>::iterator age_it;
-  };
-
-  /// Collision-chain bookkeeping for one base key: how many live entries
-  /// sit at perturbed keys, and the deepest occupied perturbation. The
-  /// probe in ingest() must walk to max_depth even across holes left by
-  /// evictions — stopping at the first absent key would split a packet's
-  /// contributions over two entries and starve its quorum.
-  struct Chain {
-    std::uint32_t live = 0;
-    std::uint32_t max_depth = 0;
-  };
+  using Slot = CompareStore::Slot;
 
   [[nodiscard]] std::uint64_t key_of(const net::Packet& packet) const;
   [[nodiscard]] bool same_packet(const net::Packet& a,
                                  const net::Packet& b) const;
-  /// True when `packet` already has an entry in the *full* cache (probe
-  /// walk, read-only). Copies of such packets must escalate so the full
-  /// entry's quorum is not starved.
-  [[nodiscard]] bool full_entry_exists(std::uint64_t base,
-                                       const net::Packet& packet) const;
+  /// The full-verify entry slot holding `packet` under `key`, or kNil.
+  /// Packets whose keys collide are separate entry slots under one key,
+  /// told apart by same_packet().
+  [[nodiscard]] Slot find_entry(std::uint64_t key,
+                                const net::Packet& packet) const;
   /// Deterministic election: does this key take the full compare?
   [[nodiscard]] static bool sampled_key(std::uint64_t base,
                                         std::uint32_t period) noexcept;
   /// Sum of live replicas' weights (the fast-path quorum denominator).
   [[nodiscard]] double live_weight_total() const noexcept;
-  /// Verdict/trace/stat bookkeeping for a dying vote-cache slot; the
+  /// Verdict/trace/stat bookkeeping for a dying vote slot; the
   /// evict_event selects the never-released counter (timeout, capacity or
-  /// quota — mirroring the full cache's three eviction paths). A released
+  /// quota — mirroring the entries' three eviction paths). A released
   /// slot leaves a tombstone for its key so in-flight sibling copies
   /// cannot re-open a releasable slot (see tombstone_release()).
-  void finalize_vote_death(std::uint64_t key, std::uint64_t packet_id,
-                           std::uint64_t mask, std::uint32_t bytes,
-                           int first_replica, bool released, bool escalated,
-                           sim::TimePoint first_seen, sim::TimePoint now,
+  void finalize_vote_death(const VoteEvicted& dead, sim::TimePoint now,
                            obs::TraceEvent evict_event);
-  /// Records that `key`'s packet was released and its cache state is gone
-  /// (slot evicted/swept, or a released full-cache entry erased). Until
-  /// the tombstone expires — one hold_timeout, the same horizon in-flight
-  /// copies are bounded by — a fast-path copy of the key is absorbed as
+  /// Records that `key`'s packet was released and its state is gone (vote
+  /// slot evicted/swept, or a released entry erased). Until the tombstone
+  /// expires — one hold_timeout, the same horizon in-flight copies are
+  /// bounded by — a fast-path copy of the key is absorbed as
   /// late_after_release instead of electing a fresh (releasable) slot,
   /// which is the at-most-once backstop against cache-squeeze evictions
-  /// of just-released entries. No-op while sampling is off.
+  /// of just-released state. No-op while sampling is off.
   void tombstone_release(std::uint64_t key, sim::TimePoint now);
-  /// Whether `key` has an unexpired release tombstone (lazily expiring).
+  /// Whether `key` has an unexpired release tombstone.
   [[nodiscard]] bool recently_released_key(std::uint64_t key,
-                                           sim::TimePoint now);
-  /// Converts the scratch list of cache-internal evictions (capacity
+                                           sim::TimePoint now) const;
+  /// Converts the scratch list of store-internal vote evictions (capacity
   /// squeezes, quota overflow) into stats/traces/verdicts.
   void drain_vote_evictions(sim::TimePoint now);
   /// Inactivity + verdict bookkeeping on entry death.
-  void finalize(Entry& entry, sim::TimePoint now);
-  /// The replica-mask half of finalize(), shared with the vote cache:
+  void finalize(Slot entry, sim::TimePoint now);
+  /// The replica-mask half of finalize(), shared with the vote slots:
   /// matched/missed verdicts plus the case-3 inactivity streak for a
   /// quorum-vouched packet that died with this vote mask.
   void finalize_masks(std::uint64_t replica_mask, sim::TimePoint first_seen,
                       sim::TimePoint now);
-  void erase_entry(std::uint64_t key, sim::TimePoint now);
+  void erase_entry(Slot entry, sim::TimePoint now);
   void capacity_cleanup(sim::TimePoint now);
   void quota_evict(int replica, sim::TimePoint now);
   void note_arrival(int replica, sim::TimePoint now);
@@ -465,11 +396,11 @@ class CompareCore {
   /// Emits one verdict (no-op while no sink is installed).
   void verdict(VerdictKind kind, int replica, sim::TimePoint now);
   /// Attributable-garbage verdict for a dead singleton entry.
-  void divergent_verdict(const Entry& entry, sim::TimePoint now);
+  void divergent_verdict(Slot entry, sim::TimePoint now);
   /// Emits one lifecycle record (no-op when tracing is disabled).
   void trace(obs::TraceEvent event, const net::Packet& packet,
              sim::TimePoint now, int replica);
-  /// Same, for vote-cache slots (which keep the id, not the packet).
+  /// Same, for vote slots (which keep the id, not the packet).
   void trace_id(obs::TraceEvent event, std::uint64_t packet_id,
                 std::uint32_t bytes, sim::TimePoint now, int replica);
 
@@ -496,32 +427,18 @@ class CompareCore {
   obs::Counter* sampled_counter_ = nullptr;   ///< "compare.sampled"
   obs::Counter* fastpath_counter_ = nullptr;  ///< "compare.fastpath"
 
-  // Sampled-verification state (all dormant while sampling is disabled).
-  std::unique_ptr<WeightedVoteCache> votes_;
+  /// Full-verify entries, plus vote slots and tombstones while sampling
+  /// is enabled (both kinds stay empty otherwise).
+  CompareStore store_;
+
+  // Sampled-verification state (dormant while sampling is disabled).
   std::vector<double> weights_;  ///< health weights, 1.0 = pristine
   /// Until this instant the effective period is pinned to 1: a restored
   /// core must fully verify until pre-crash in-flight traffic drains.
   sim::TimePoint sampling_resume_at_ = sim::TimePoint::origin();
   std::vector<VoteEvicted> evicted_scratch_;
-  /// Release tombstones (key → release/erase time): keys whose packet
-  /// released but whose cache state is already gone. Bounded by the
-  /// release volume of one hold_timeout window — the FIFO prunes expired
-  /// entries on every sweep (the map value disambiguates a key that was
-  /// re-tombstoned inside the window, mirroring the checker's
-  /// release-log pruning).
-  std::unordered_map<std::uint64_t, std::int64_t> tombstones_;
-  std::deque<std::pair<std::int64_t, std::uint64_t>> tombstone_fifo_;
-
-  // key → entry. Collisions across *different* packets with equal keys are
-  // resolved by same_packet() refusing to merge; the colliding packet is
-  // keyed by a salted rehash (open chaining via key perturbation).
-  std::unordered_map<std::uint64_t, Entry> cache_;
-  // base key → chain occupancy, only for bases with perturbed entries.
-  std::unordered_map<std::uint64_t, Chain> chains_;
-  std::list<std::uint64_t> age_;  ///< oldest-first keys
 
   // Per-replica monitors.
-  std::vector<std::uint64_t> singleton_count_;
   std::vector<std::deque<std::int64_t>> arrival_ns_;  ///< rate windows
   std::vector<std::deque<std::int64_t>> garbage_ns_;  ///< garbage windows
   std::vector<std::uint64_t> missed_streak_;

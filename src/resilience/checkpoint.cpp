@@ -1,5 +1,6 @@
 #include "resilience/checkpoint.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -117,12 +118,17 @@ std::string serialize_snapshot(const core::CompareSnapshot& snap) {
   n = std::snprintf(buf, sizeof buf, "entries %zu\n", snap.entries.size());
   out.append(buf, static_cast<std::size_t>(n));
   for (const core::SnapshotEntry& e : snap.entries) {
+    // The v1 entry line has columns for a slot key, a base key, a probe
+    // depth and a contribution count. An entry has one key and its
+    // contributions are its mask's popcount, so the key is written twice
+    // with depth 0.
     n = std::snprintf(
         buf, sizeof buf, "e %016llx %016llx %u %016llx %d %d %d%d%d %lld ",
         static_cast<unsigned long long>(e.key),
-        static_cast<unsigned long long>(e.base_key), e.probe_depth,
-        static_cast<unsigned long long>(e.replica_mask), e.contributions,
-        e.first_replica, e.holds_singleton_slot ? 1 : 0, e.released ? 1 : 0,
+        static_cast<unsigned long long>(e.key), 0u,
+        static_cast<unsigned long long>(e.replica_mask),
+        std::popcount(e.replica_mask), e.first_replica,
+        e.holds_singleton_slot ? 1 : 0, e.released ? 1 : 0,
         e.recovered ? 1 : 0, static_cast<long long>(e.first_seen_ns));
     out.append(buf, static_cast<std::size_t>(n));
     append_hex(out, e.payload);
@@ -263,11 +269,10 @@ std::optional<core::CompareSnapshot> parse_snapshot(const std::string& text) {
                     &released, &recovered, &seen, &payload_at) != 10) {
       return std::nullopt;
     }
-    e.key = key;
-    e.base_key = base;
-    e.probe_depth = depth;
+    // The base-key column is the entry's key (in a v1 checkpoint with
+    // hash collisions the slot-key column may hold a perturbed key).
+    e.key = base;
     e.replica_mask = mask;
-    e.contributions = contributions;
     e.first_replica = first;
     e.holds_singleton_slot = slot != 0;
     e.released = released != 0;

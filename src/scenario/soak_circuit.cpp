@@ -4,7 +4,7 @@
 #include <string>
 
 #include "common/assert.h"
-#include "netco/vote_cache.h"
+#include "netco/compare_store.h"
 #include "obs/observability.h"
 
 namespace netco::scenario {
@@ -70,9 +70,9 @@ SoakCircuit::SoakCircuit(const SoakOptions& options)
   NETCO_ASSERT(options.packets > 0 && options.rate.positive());
   // Reject oversized fleets here, with the full context, rather than as
   // silent vote drops when the fast path shifts a replica id past the
-  // 64-bit bitmask (core::WeightedVoteCache::kMaxReplicas).
+  // 64-bit bitmask (core::CompareStore::kMaxReplicas).
   NETCO_ASSERT_MSG(
-      options.k >= 1 && options.k < core::WeightedVoteCache::kMaxReplicas,
+      options.k >= 1 && options.k < core::CompareStore::kMaxReplicas,
       "SoakOptions.k out of range: replica fleets are capped at 63 (ids "
       "must fit the 64-bit vote bitmask)");
   NETCO_ASSERT_MSG(
@@ -296,16 +296,16 @@ void SoakCircuit::finalize() {
           combiner.compare->stats_for(edge->name());
       if (stats == nullptr) continue;
       result_.compare_ingested += stats->ingested;
-      result_.compare_released += stats->released;
       result_.fastpath_released += stats->fastpath_released;
       result_.sampled_escalated += stats->sampled_escalated;
     }
-    // A promoted standby releases from its shadow cores. Before promotion
-    // they count withheld quorums in shadow_releases, never in released;
-    // their ingests are mirrored copies, so ingested stays primary-only.
-    for (const core::CompareCore* shadow : combiner.shadow_cores) {
-      result_.compare_released += shadow->stats().released;
-    }
+    // Releases come from the circuit's own counter: every core of the
+    // circuit bumps it, a promoted standby's included, and unlike
+    // CompareStats it does not roll back when a warm restart restores a
+    // checkpoint. Ingests stay primary-only: a standby's are mirrored
+    // copies.
+    result_.compare_released =
+        obs::global().metrics.counter("compare.released").value();
   }
   result_.trace_records = checker_.records_seen();
   result_.fault_events_applied = injector_->applied();

@@ -29,7 +29,7 @@
 //
 // Zero per-timer allocation: records live in a flat slab recycled through
 // a free list; cancellation is a generation check (same scheme as the
-// simulator's CancelSlab and the compare's WeightedVoteCache). The
+// simulator's CancelSlab and the compare's CompareStore). The
 // callback is a plain function pointer + context pointer + 64-bit
 // argument — no std::function, nothing to destroy.
 #pragma once

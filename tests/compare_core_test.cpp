@@ -80,17 +80,6 @@ TEST(CompareCore, ThirdCopyIgnoredAfterRelease) {
   EXPECT_EQ(core.stats().cache_entries, 0u);
 }
 
-TEST(CompareCore, EagerEraseModeRetiresCompletedEntries) {
-  CompareConfig config{.k = 3};
-  config.retain_completed = false;
-  CompareCore core(config);
-  const auto p = numbered_packet(1);
-  core.ingest(0, p, at_ms(0));
-  core.ingest(1, p, at_ms(0));
-  core.ingest(2, p, at_ms(0));
-  EXPECT_EQ(core.stats().cache_entries, 0u);
-}
-
 TEST(CompareCore, K5NeedsThree) {
   CompareCore core(CompareConfig{.k = 5});
   const auto p = numbered_packet(9);
@@ -428,8 +417,9 @@ TEST(CompareCore, ReleasedSingletonReturnsQuotaSlotOnEviction) {
   // Every expired entry returned its slot: the incremental counters match
   // a fresh recount (both zero — the cache is empty).
   const CompareAudit audit = core.audit();
-  for (std::size_t r = 0; r < audit.quota_counts.size(); ++r) {
-    EXPECT_EQ(audit.quota_counts[r], audit.live_singletons[r])
+  const SlotAudit& entries = audit.of(SlotKind::kEntry);
+  for (std::size_t r = 0; r < entries.quota_counts.size(); ++r) {
+    EXPECT_EQ(entries.quota_counts[r], entries.quota_held[r])
         << "replica " << r;
   }
   // And the quota never fired: nothing here was a flood.
@@ -495,12 +485,10 @@ TEST(CompareCore, CollisionChainManyColliders) {
   }
   EXPECT_EQ(core.stats().released, 8u);
 
-  const CompareAudit audit = core.audit();
-  EXPECT_TRUE(audit.age_cache_consistent);
+  const SlotAudit audit = core.audit().of(SlotKind::kEntry);
+  EXPECT_TRUE(audit.consistent());
   EXPECT_TRUE(audit.age_ordered);
-  for (std::size_t r = 0; r < audit.quota_counts.size(); ++r) {
-    EXPECT_EQ(audit.quota_counts[r], audit.live_singletons[r]);
-  }
+  EXPECT_EQ(audit.quota_counts, audit.quota_held);
 }
 
 // A mid-run capacity squeeze (the fault injector's cache-pressure event)
@@ -521,12 +509,10 @@ TEST(CompareCore, CacheSqueezeCleansToNewCapacity) {
   EXPECT_LE(core.stats().cache_entries, 40u);
   EXPECT_GE(core.stats().cleanup_passes, 1u);
 
-  const CompareAudit audit = core.audit();
-  EXPECT_EQ(audit.cache_capacity, 40u);
-  EXPECT_TRUE(audit.age_cache_consistent);
-  for (std::size_t r = 0; r < audit.quota_counts.size(); ++r) {
-    EXPECT_EQ(audit.quota_counts[r], audit.live_singletons[r]);
-  }
+  const SlotAudit audit = core.audit().of(SlotKind::kEntry);
+  EXPECT_EQ(audit.capacity, 40u);
+  EXPECT_TRUE(audit.consistent());
+  EXPECT_EQ(audit.quota_counts, audit.quota_held);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -300,13 +300,21 @@ TEST(FaultInjector, AppliesLinkAndCacheEventsOnRealTopology) {
 
 // --- check_audit ----------------------------------------------------------
 
-TEST(CheckAudit, PassesOnConsistentSnapshot) {
+/// A hand-built audit of a store holding `entries` consistent entry slots
+/// under an entry capacity of 8.
+core::CompareAudit entry_audit(std::size_t entries) {
   core::CompareAudit audit;
-  audit.cache_entries = 3;
-  audit.age_entries = 3;
-  audit.cache_capacity = 8;
-  audit.quota_counts = {1, 2};
-  audit.live_singletons = {1, 2};
+  core::SlotAudit& kind = audit.of(core::SlotKind::kEntry);
+  kind.size = kind.age_entries = kind.index_entries = entries;
+  kind.capacity = 8;
+  audit.arena = entries;
+  return audit;
+}
+
+TEST(CheckAudit, PassesOnConsistentSnapshot) {
+  core::CompareAudit audit = entry_audit(3);
+  audit.of(core::SlotKind::kEntry).quota_counts = {1, 2};
+  audit.of(core::SlotKind::kEntry).quota_held = {1, 2};
   InvariantReport report;
   check_audit(audit, "edge", report);
   EXPECT_TRUE(report.ok());
@@ -314,10 +322,9 @@ TEST(CheckAudit, PassesOnConsistentSnapshot) {
 }
 
 TEST(CheckAudit, TripsOnQuotaDrift) {
-  core::CompareAudit audit;
-  audit.cache_capacity = 8;
-  audit.quota_counts = {5, 0};   // counter says 5...
-  audit.live_singletons = {0, 0};  // ...but nothing is live: a leak
+  core::CompareAudit audit = entry_audit(0);
+  audit.of(core::SlotKind::kEntry).quota_counts = {5, 0};  // counter says 5...
+  audit.of(core::SlotKind::kEntry).quota_held = {0, 0};  // ...none held: a leak
   InvariantReport report;
   check_audit(audit, "edge", report);
   EXPECT_FALSE(report.ok());
@@ -326,28 +333,23 @@ TEST(CheckAudit, TripsOnQuotaDrift) {
 }
 
 TEST(CheckAudit, TripsOnAgeCacheDisagreement) {
-  core::CompareAudit audit;
-  audit.cache_capacity = 8;
-  audit.age_cache_consistent = false;
+  core::CompareAudit audit = entry_audit(3);
+  audit.of(core::SlotKind::kEntry).age_entries = 2;  // a slot fell off
   InvariantReport report;
   check_audit(audit, "edge", report);
   EXPECT_FALSE(report.ok());
 }
 
 TEST(CheckAudit, TripsOnCapacityOverflow) {
-  core::CompareAudit audit;
-  audit.cache_entries = 9;
-  audit.age_entries = 9;
-  audit.cache_capacity = 8;
+  core::CompareAudit audit = entry_audit(9);
   InvariantReport report;
   check_audit(audit, "edge", report);
   EXPECT_FALSE(report.ok());
 }
 
 TEST(CheckAudit, TripsOnUnorderedAgeList) {
-  core::CompareAudit audit;
-  audit.cache_capacity = 8;
-  audit.age_ordered = false;
+  core::CompareAudit audit = entry_audit(0);
+  audit.of(core::SlotKind::kEntry).age_ordered = false;
   InvariantReport report;
   check_audit(audit, "edge", report);
   EXPECT_FALSE(report.ok());
@@ -532,7 +534,7 @@ TEST(CheckAudit, VoteCacheSqueezeNeverStrandsEntries) {
   // attribution, so conservation is checked exactly, not as >=.
   core::CompareConfig config{.k = 3};
   config.sampling.enabled = true;
-  config.sampling.vote_capacity = 64;
+  config.cache_capacity = 64;
   config.sampling.vote_quota = 40;
   core::CompareCore core(config);
 
@@ -545,15 +547,16 @@ TEST(CheckAudit, VoteCacheSqueezeNeverStrandsEntries) {
   for (std::uint32_t i = 1; i <= kPackets; ++i) {
     core.ingest_sampled(0, numbered_packet(i), at_ms(1));
   }
-  const core::WeightedVoteCache* vc = core.vote_cache();
-  ASSERT_NE(vc, nullptr);
+  const core::CompareStore& store = core.store();
+  constexpr core::SlotKind kVote = core::SlotKind::kVote;
 
   // Quota phase: size pinned at the quota plus the escalated routing
   // memos (1-in-period elections, quota-exempt), overflow evicted as
   // quota casualties, and nothing unaccounted.
   const std::uint64_t memos = core.stats().sampled_escalated;
-  EXPECT_EQ(vc->size(), config.sampling.vote_quota + memos);
-  EXPECT_EQ(vc->size() + vc->evicted_capacity() + vc->evicted_quota(),
+  EXPECT_EQ(store.size(kVote), config.sampling.vote_quota + memos);
+  EXPECT_EQ(store.size(kVote) + store.evicted_capacity() +
+                store.evicted_quota(),
             kPackets);
   {
     InvariantReport report;
@@ -563,13 +566,13 @@ TEST(CheckAudit, VoteCacheSqueezeNeverStrandsEntries) {
                                      : report.details.front());
   }
 
-  // Squeeze: the full-cache capacity knob binds the vote cache too
-  // (min(vote_capacity, capacity) = 16), expelling the surplus as
-  // capacity casualties.
+  // Squeeze: the cache capacity knob binds the vote slots too, expelling
+  // the surplus as capacity casualties.
   core.set_cache_capacity(16, at_ms(2));
-  EXPECT_EQ(vc->capacity(), 16u);
-  EXPECT_LE(vc->size(), vc->capacity());
-  EXPECT_EQ(vc->size() + vc->evicted_capacity() + vc->evicted_quota(),
+  EXPECT_EQ(store.vote_capacity(), 16u);
+  EXPECT_LE(store.size(kVote), store.vote_capacity());
+  EXPECT_EQ(store.size(kVote) + store.evicted_capacity() +
+                store.evicted_quota(),
             kPackets);
   {
     InvariantReport report;
@@ -581,12 +584,13 @@ TEST(CheckAudit, VoteCacheSqueezeNeverStrandsEntries) {
 
   // Release the squeeze and keep running: the cache regrows and the
   // conservation ledger still balances.
-  core.set_cache_capacity(2048, at_ms(3));
-  EXPECT_EQ(vc->capacity(), config.sampling.vote_capacity);
+  core.set_cache_capacity(config.cache_capacity, at_ms(3));
+  EXPECT_EQ(store.vote_capacity(), config.cache_capacity);
   for (std::uint32_t i = kPackets + 1; i <= kPackets + 10; ++i) {
     core.ingest_sampled(0, numbered_packet(i), at_ms(4));
   }
-  EXPECT_EQ(vc->size() + vc->evicted_capacity() + vc->evicted_quota(),
+  EXPECT_EQ(store.size(kVote) + store.evicted_capacity() +
+                store.evicted_quota(),
             kPackets + 10);
   {
     InvariantReport report;
@@ -630,9 +634,9 @@ TEST(FastPath, ReleasedSlotEvictionCannotDuplicateEgress) {
   core.set_cache_capacity(1, at_ms(1));
   core::FastResult other;
   first_fastpath_packet(core, n + 1, 1, at_ms(1), other);
-  ASSERT_EQ(core.vote_cache()->find(
-                numbered_packet(n).content_hash()),
-            core::WeightedVoteCache::kNil)
+  ASSERT_EQ(core.store().find(core::SlotKind::kVote,
+                              numbered_packet(n).content_hash()),
+            core::CompareStore::kNil)
       << "test premise: the released slot must be gone";
   const std::uint64_t released_before = core.stats().fastpath_released;
 
@@ -666,9 +670,9 @@ TEST(FastPath, StragglerAfterSweptReleaseIsLateNotReleased) {
   ASSERT_TRUE(first.released.has_value());
 
   core.sweep(at_ms(25));  // hold_timeout (20 ms) expired: slot dies
-  ASSERT_EQ(core.vote_cache()->find(
-                numbered_packet(n).content_hash()),
-            core::WeightedVoteCache::kNil);
+  ASSERT_EQ(core.store().find(core::SlotKind::kVote,
+                              numbered_packet(n).content_hash()),
+            core::CompareStore::kNil);
 
   const core::FastResult dup = core.ingest_sampled(1, numbered_packet(n),
                                                    at_ms(30));
@@ -684,37 +688,28 @@ TEST(FastPath, StragglerAfterSweptReleaseIsLateNotReleased) {
 }
 
 TEST(CheckAudit, TripsOnVoteCacheDrift) {
-  core::CompareAudit audit;
-  audit.cache_capacity = 8;
-  audit.vote_active = true;
-  audit.vote.consistent = false;
+  core::CompareAudit audit = entry_audit(0);
+  core::SlotAudit& votes = audit.of(core::SlotKind::kVote);
+  votes.capacity = 8;
+  votes.size = votes.index_entries = 3;  // three vote slots indexed...
+  votes.age_entries = 2;                 // ...but two on the age list
+  audit.arena = 3;
   InvariantReport report;
   check_audit(audit, "edge", report);
   EXPECT_FALSE(report.ok());
   ASSERT_FALSE(report.details.empty());
-  EXPECT_NE(report.details.front().find("vote cache"), std::string::npos);
+  EXPECT_NE(report.details.front().find("vote"), std::string::npos);
 }
 
 TEST(CheckAudit, TripsOnVoteQuotaLeak) {
-  core::CompareAudit audit;
-  audit.cache_capacity = 8;
-  audit.vote_active = true;
-  audit.vote.capacity = 8;
-  audit.vote.quota_counts = {3, 0};     // counter says 3 slots held...
-  audit.vote.live_quota_held = {0, 0};  // ...recount says none: a leak
+  core::CompareAudit audit = entry_audit(0);
+  core::SlotAudit& votes = audit.of(core::SlotKind::kVote);
+  votes.capacity = 8;
+  votes.quota_counts = {3, 0};  // counter says 3 slots held...
+  votes.quota_held = {0, 0};    // ...recount says none: a leak
   InvariantReport report;
   check_audit(audit, "edge", report);
   EXPECT_FALSE(report.ok());
-}
-
-TEST(CheckAudit, IgnoresVoteFieldsWhileSamplingInactive) {
-  core::CompareAudit audit;
-  audit.cache_capacity = 8;
-  audit.vote_active = false;
-  audit.vote.consistent = false;  // garbage, but the store is off
-  InvariantReport report;
-  check_audit(audit, "edge", report);
-  EXPECT_TRUE(report.ok());
 }
 
 }  // namespace

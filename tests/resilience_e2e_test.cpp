@@ -136,6 +136,11 @@ TEST(ResilienceE2E, WarmRestartRecoversWithoutStandby) {
   // Post-restore health: the last quarter of the run delivers like a
   // fault-free plant.
   EXPECT_GE(r.tail_goodput_ratio, 0.95);
+  // The restore rolls the core's counters back to the checkpoint; the
+  // release total must still count the releases made between that
+  // checkpoint and the crash.
+  EXPECT_EQ(r.compare_released, counter_in(r.metrics_json, "compare.released"));
+  EXPECT_GE(r.compare_released, r.delivered_unique);
 }
 
 TEST(ResilienceE2E, HeartbeatFalsePositiveFailoverIsDuplicateFree) {

@@ -263,11 +263,12 @@ TEST(Restore, RebuildsStateConservatively) {
 
   // The books balance: the audit recomputes quota counters and the age
   // list from scratch and must agree with the restored bookkeeping.
-  const core::CompareAudit audit = restarted.audit();
-  EXPECT_TRUE(audit.age_cache_consistent);
+  const core::SlotAudit audit =
+      restarted.audit().of(core::SlotKind::kEntry);
+  EXPECT_TRUE(audit.consistent());
   EXPECT_TRUE(audit.age_ordered);
-  EXPECT_EQ(audit.cache_entries, snap.entries.size());
-  EXPECT_EQ(audit.quota_counts, audit.live_singletons);
+  EXPECT_EQ(audit.size, snap.entries.size());
+  EXPECT_EQ(audit.quota_counts, audit.quota_held);
 
   // Counters and the live set carry over: replica 2 was quarantined at
   // checkpoint time and must still be out after the warm restart.
@@ -341,7 +342,7 @@ TEST(Restore, DiscardsPreRestoreState) {
   core.ingest(1, p, at_ms(1));  // released pre-restore
   core.restore(empty, at_ms(2));
 
-  EXPECT_EQ(core.audit().cache_entries, 0u);
+  EXPECT_EQ(core.audit().of(core::SlotKind::kEntry).size, 0u);
   EXPECT_EQ(core.stats().released, 0u);  // snapshot's counters rule
   // Rebuilding the quorum from live traffic releases again: the entry is
   // new (not recovered), so this is the normal path, not a duplicate of a

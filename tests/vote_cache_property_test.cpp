@@ -1,28 +1,35 @@
-// Property test: WeightedVoteCache vs a naive map model.
+// Property test: CompareStore's vote kind vs a naive map model, and the
+// store's kinds vs each other.
 //
-// The cache buys its O(1) fast path with intrusive bookkeeping (SoA
-// arena, bucket chains, age list, per-replica quota counters) — exactly
-// the machinery that rots silently. A long randomized op stream drives
-// the real cache and a deliberately dumb reference model in lockstep and
-// demands equivalence after every step:
+// The store buys its O(1) fast path with intrusive bookkeeping (SoA
+// arena, bucket chains, per-kind age lists and per-replica quota
+// counters) — exactly the machinery that rots silently. A long randomized
+// op stream drives the vote kind and a deliberately dumb reference model
+// in lockstep and demands equivalence:
 //
 //  * tally/mask/released equality for every live key;
-//  * eviction order: capacity scans the kVictimScanLimit oldest entries
-//    and evicts the lowest-tally *unreleased* one (tie: oldest),
-//    falling back to released entries and — only when nothing else is
+//  * eviction order: capacity scans the kVictimScanLimit oldest vote
+//    slots and evicts the lowest-tally *unreleased* one (tie: oldest),
+//    falling back to released slots and — only when nothing else is
 //    left — escalated memos; quota overflow evicts that replica's
 //    oldest singleton (memos neither charge nor trigger the quota);
 //  * quota-slot conservation: counters match a recount at all times, so
 //    no squeeze/evict/release interleaving can strand a slot.
+//
+// A second stream interleaves entry and tombstone slots under the same
+// keys and checks after every step that an operation on one kind leaves
+// every other kind's size, age order and quota counts alone, and that
+// live plus free slots fill the arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <random>
 #include <vector>
 
-#include "netco/vote_cache.h"
+#include "netco/compare_store.h"
 
 namespace netco::core {
 namespace {
@@ -44,10 +51,7 @@ struct ModelEntry {
 class ModelCache {
  public:
   ModelCache(std::size_t capacity, std::size_t quota, int k)
-      : capacity_(std::max<std::size_t>(1, capacity)),
-        arena_(capacity_),
-        quota_(quota),
-        k_(k) {}
+      : capacity_(std::max<std::size_t>(1, capacity)), quota_(quota), k_(k) {}
 
   [[nodiscard]] const ModelEntry* find(std::uint64_t key) const {
     for (const ModelEntry& e : entries_) {
@@ -113,7 +117,7 @@ class ModelCache {
   }
 
   void set_capacity(std::size_t capacity, std::vector<ModelEntry>& evicted) {
-    capacity_ = std::clamp<std::size_t>(capacity, 1, arena_);
+    capacity_ = std::max<std::size_t>(1, capacity);
     while (entries_.size() > capacity_) evict_capacity(evicted);
   }
 
@@ -136,7 +140,7 @@ class ModelCache {
     // released ones; escalated memos only when nothing else is left.
     const std::size_t npos = entries_.size();
     const std::size_t scan =
-        std::min(entries_.size(), WeightedVoteCache::kVictimScanLimit);
+        std::min(entries_.size(), CompareStore::kVictimScanLimit);
     std::size_t best_open = npos, best_released = npos;
     for (std::size_t i = 0; i < scan; ++i) {
       const ModelEntry& e = entries_[i];
@@ -175,18 +179,19 @@ class ModelCache {
   }
 
   std::size_t capacity_;
-  const std::size_t arena_;  ///< construction-time bound, like the real one
   std::size_t quota_;
   int k_;
   std::vector<ModelEntry> entries_;
 };
 
-void expect_equivalent(const WeightedVoteCache& cache,
-                       const ModelCache& model, std::uint64_t step) {
-  ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+constexpr SlotKind kVote = SlotKind::kVote;
+
+void expect_equivalent(const CompareStore& cache, const ModelCache& model,
+                       std::uint64_t step) {
+  ASSERT_EQ(cache.size(kVote), model.size()) << "step " << step;
   for (const ModelEntry& e : model.entries()) {
-    const WeightedVoteCache::Slot slot = cache.find(e.key);
-    ASSERT_NE(slot, WeightedVoteCache::kNil)
+    const CompareStore::Slot slot = cache.find(kVote, e.key);
+    ASSERT_NE(slot, CompareStore::kNil)
         << "step " << step << ": key " << e.key << " missing";
     EXPECT_EQ(cache.mask(slot), e.mask) << "step " << step;
     EXPECT_DOUBLE_EQ(cache.tally(slot), e.tally) << "step " << step;
@@ -196,16 +201,19 @@ void expect_equivalent(const WeightedVoteCache& cache,
     EXPECT_EQ(cache.first_replica(slot), e.first_replica) << "step " << step;
   }
 
-  const VoteCacheAudit audit = cache.audit();
-  ASSERT_TRUE(audit.consistent)
-      << "step " << step << ": entries=" << audit.entries
-      << " age=" << audit.age_entries << " chain=" << audit.chain_entries
-      << " free=" << audit.free_slots << " arena=" << audit.arena;
+  const CompareAudit full = cache.audit();
+  const SlotAudit& audit = full.of(kVote);
+  ASSERT_TRUE(audit.consistent())
+      << "step " << step << ": size=" << audit.size
+      << " age=" << audit.age_entries << " index=" << audit.index_entries;
+  ASSERT_EQ(full.live_slots() + full.free_slots, full.arena)
+      << "step " << step << ": free=" << full.free_slots
+      << " arena=" << full.arena;
   EXPECT_TRUE(audit.age_ordered) << "step " << step;
-  EXPECT_LE(audit.entries, audit.capacity) << "step " << step;
-  ASSERT_EQ(audit.quota_counts.size(), audit.live_quota_held.size());
+  EXPECT_LE(audit.size, audit.capacity) << "step " << step;
+  ASSERT_EQ(audit.quota_counts.size(), audit.quota_held.size());
   for (std::size_t r = 0; r < audit.quota_counts.size(); ++r) {
-    EXPECT_EQ(audit.quota_counts[r], audit.live_quota_held[r])
+    EXPECT_EQ(audit.quota_counts[r], audit.quota_held[r])
         << "step " << step << " replica " << r << ": quota counter drift";
     EXPECT_EQ(audit.quota_counts[r], model.quota_count(static_cast<int>(r)))
         << "step " << step << " replica " << r << ": quota vs model";
@@ -227,105 +235,125 @@ void expect_same_evictions(const std::vector<VoteEvicted>& real,
   }
 }
 
-void run_fuzz(std::uint64_t seed, std::size_t capacity, std::size_t quota,
-              int k, std::uint64_t ops) {
-  WeightedVoteCache cache(capacity, quota, k);
-  ModelCache model(capacity, quota, k);
-  std::mt19937_64 rng(seed);
+/// Drives the store's vote kind and the model in lockstep, one random op
+/// per step. A small key space keeps find/vote hitting live slots.
+class VoteOps {
+ public:
+  VoteOps(CompareStore& cache, std::size_t capacity, std::size_t quota, int k)
+      : cache_(cache),
+        model_(capacity, quota, k),
+        capacity_(capacity),
+        key_dist_(1, 4 * capacity),
+        replica_dist_(0, k - 1) {}
 
-  // A small key space keeps find/vote hitting live entries; a clock that
-  // only moves forward keeps sweeps meaningful.
-  std::uniform_int_distribution<std::uint64_t> key_dist(1, 4 * capacity);
-  std::uniform_int_distribution<int> replica_dist(0, k - 1);
-  std::uniform_int_distribution<int> weight_dist(0, 4);
-  std::int64_t now = 0;
+  [[nodiscard]] const ModelCache& model() const { return model_; }
 
-  std::vector<std::uint64_t> live_keys;
-  const auto refresh_live = [&] {
-    live_keys.clear();
-    for (const ModelEntry& e : model.entries()) live_keys.push_back(e.key);
-  };
-
-  for (std::uint64_t step = 0; step < ops; ++step) {
-    now += static_cast<std::int64_t>(rng() % 1000);
+  void step(std::mt19937_64& rng, std::int64_t now, std::uint64_t step) {
     const int op = static_cast<int>(rng() % 100);
     if (op < 45) {  // insert a fresh key (+ its first vote, like the core)
-      const std::uint64_t key = key_dist(rng);
-      if (model.find(key) != nullptr) continue;
-      const int replica = replica_dist(rng);
+      const std::uint64_t key = key_dist_(rng);
+      if (model_.find(key) != nullptr) return;
+      const int replica = replica_dist_(rng);
       // 1-in-8 inserts are escalated routing memos (quota-exempt,
       // eviction-spared), roughly the sampled mode's election share.
       const bool escalated = (rng() % 8) == 0;
       std::vector<VoteEvicted> evicted;
       std::vector<ModelEntry> expected;
-      const auto slot =
-          cache.insert(key, key * 31, now, 200, replica, escalated, evicted);
-      model.insert(key, key * 31, now, replica, escalated, expected);
+      const auto slot = cache_.insert_vote(key, key * 31, now, 200, replica,
+                                           escalated, evicted);
+      model_.insert(key, key * 31, now, replica, escalated, expected);
       expect_same_evictions(evicted, expected, step);
       if (!escalated) {  // memos carry no votes in the core
-        const double w = static_cast<double>(weight_dist(rng)) / 4.0;
-        EXPECT_TRUE(cache.add_vote(slot, replica, w));
-        EXPECT_TRUE(model.add_vote(key, replica, w));
+        const double w = static_cast<double>(weight_dist_(rng)) / 4.0;
+        EXPECT_TRUE(cache_.add_vote(slot, replica, w));
+        EXPECT_TRUE(model_.add_vote(key, replica, w));
       }
-    } else if (op < 75) {  // vote on a live entry
-      refresh_live();
-      if (live_keys.empty()) continue;
-      const std::uint64_t key = live_keys[rng() % live_keys.size()];
-      const int replica = replica_dist(rng);
-      const double w = static_cast<double>(weight_dist(rng)) / 4.0;
-      const auto slot = cache.find(key);
-      ASSERT_NE(slot, WeightedVoteCache::kNil);
-      EXPECT_EQ(cache.add_vote(slot, replica, w),
-                model.add_vote(key, replica, w))
+    } else if (op < 75) {  // vote on a live slot
+      const std::uint64_t key = live_key(rng);
+      if (key == 0) return;
+      const int replica = replica_dist_(rng);
+      const double w = static_cast<double>(weight_dist_(rng)) / 4.0;
+      const auto slot = cache_.find(kVote, key);
+      ASSERT_NE(slot, CompareStore::kNil);
+      EXPECT_EQ(cache_.add_vote(slot, replica, w),
+                model_.add_vote(key, replica, w))
           << "step " << step << ": duplicate-vote detection diverged";
-    } else if (op < 85) {  // release or erase a live entry
-      refresh_live();
-      if (live_keys.empty()) continue;
-      const std::uint64_t key = live_keys[rng() % live_keys.size()];
-      const auto slot = cache.find(key);
-      ASSERT_NE(slot, WeightedVoteCache::kNil);
+    } else if (op < 85) {  // release or erase a live slot
+      const std::uint64_t key = live_key(rng);
+      if (key == 0) return;
+      const auto slot = cache_.find(kVote, key);
+      ASSERT_NE(slot, CompareStore::kNil);
       if ((rng() & 1) != 0) {
-        cache.set_released(slot);
-        model.set_released(key);
+        cache_.set_released(slot);
+        model_.set_released(key);
       } else {
-        cache.erase(slot);
-        model.erase(key);
+        cache_.erase(slot);
+        model_.erase(key);
       }
     } else if (op < 95) {  // sweep everything older than a random horizon
-      const std::int64_t horizon = now - static_cast<std::int64_t>(rng() % 20000);
+      const std::int64_t horizon =
+          now - static_cast<std::int64_t>(rng() % 20000);
       std::vector<ModelEntry> expected;
-      model.sweep(horizon, expected);
+      model_.sweep(horizon, expected);
       std::size_t i = 0;
-      cache.sweep(horizon, [&](WeightedVoteCache::Slot victim) {
+      cache_.sweep(kVote, horizon, [&](CompareStore::Slot victim) {
         ASSERT_LT(i, expected.size()) << "step " << step;
-        EXPECT_EQ(cache.key_of(victim), expected[i].key)
+        EXPECT_EQ(cache_.key(victim), expected[i].key)
             << "step " << step << ": sweep order diverged";
         ++i;
       });
       EXPECT_EQ(i, expected.size()) << "step " << step;
     } else {  // cache squeeze / restore
-      const std::size_t target = 1 + rng() % capacity;
+      const std::size_t target = 1 + rng() % capacity_;
       std::vector<VoteEvicted> evicted;
       std::vector<ModelEntry> expected;
-      cache.set_capacity(target, evicted);
-      model.set_capacity(target, expected);
+      cache_.set_capacity(target, evicted);
+      model_.set_capacity(target, expected);
       expect_same_evictions(evicted, expected, step);
     }
+  }
 
+ private:
+  /// A uniformly drawn live key, or 0 when the kind is empty.
+  std::uint64_t live_key(std::mt19937_64& rng) const {
+    const auto& live = model_.entries();
+    if (live.empty()) return 0;
+    return live[rng() % live.size()].key;
+  }
+
+  CompareStore& cache_;
+  ModelCache model_;
+  std::size_t capacity_;
+  std::uniform_int_distribution<std::uint64_t> key_dist_;
+  std::uniform_int_distribution<int> replica_dist_;
+  std::uniform_int_distribution<int> weight_dist_{0, 4};
+};
+
+void run_fuzz(std::uint64_t seed, std::size_t capacity, std::size_t quota,
+              int k, std::uint64_t ops) {
+  CompareStore cache(capacity, quota, k);
+  VoteOps votes(cache, capacity, quota, k);
+  std::mt19937_64 rng(seed);
+  std::int64_t now = 0;  // only moves forward, so sweeps stay meaningful
+
+  for (std::uint64_t step = 0; step < ops; ++step) {
+    now += static_cast<std::int64_t>(rng() % 1000);
+    votes.step(rng, now, step);
+    if (::testing::Test::HasFatalFailure()) return;
     if (step % 64 == 0 || step + 1 == ops) {
-      expect_equivalent(cache, model, step);
+      expect_equivalent(cache, votes.model(), step);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
-  expect_equivalent(cache, model, ops);
+  expect_equivalent(cache, votes.model(), ops);
 }
 
 TEST(VoteCacheUnit, AddVoteRejectsUnrepresentableReplica) {
-  // 1ULL << replica is UB outside [0, 64): the cache must reject such a
+  // 1ULL << replica is UB outside [0, 64): the store must reject such a
   // vote (like a duplicate) instead of corrupting the mask and quota.
-  WeightedVoteCache cache(4, 2, 4);
+  CompareStore cache(4, 2, 4);
   std::vector<VoteEvicted> evicted;
-  const auto slot = cache.insert(1, 31, 0, 200, 0, false, evicted);
+  const auto slot = cache.insert_vote(1, 31, 0, 200, 0, false, evicted);
   EXPECT_FALSE(cache.add_vote(slot, -1, 1.0));
   EXPECT_FALSE(cache.add_vote(slot, 64, 1.0));
   EXPECT_FALSE(cache.add_vote(slot, 1000, 1.0));
@@ -336,59 +364,59 @@ TEST(VoteCacheUnit, AddVoteRejectsUnrepresentableReplica) {
 }
 
 TEST(VoteCacheUnit, EscalatedMemosAreQuotaExempt) {
-  WeightedVoteCache cache(16, /*quota=*/1, /*k=*/2);
+  CompareStore cache(16, /*vote_quota=*/1, /*k=*/2);
   std::vector<VoteEvicted> evicted;
-  cache.insert(1, 31, 0, 64, /*first_replica=*/0, /*escalated=*/false,
-               evicted);
+  cache.insert_vote(1, 31, 0, 64, /*first_replica=*/0, /*escalated=*/false,
+                    evicted);
   // Memos from the same replica neither charge the quota nor push out its
   // singleton.
-  cache.insert(2, 62, 1, 64, 0, true, evicted);
-  cache.insert(3, 93, 2, 64, 0, true, evicted);
+  cache.insert_vote(2, 62, 1, 64, 0, true, evicted);
+  cache.insert_vote(3, 93, 2, 64, 0, true, evicted);
   EXPECT_TRUE(evicted.empty());
-  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.size(kVote), 3u);
   // A second real singleton overflows the quota of 1: the oldest
   // singleton goes, not a memo.
-  cache.insert(4, 124, 3, 64, 0, false, evicted);
+  cache.insert_vote(4, 124, 3, 64, 0, false, evicted);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0].key, 1u);
   EXPECT_EQ(evicted[0].reason, VoteEvictReason::kQuota);
 }
 
 TEST(VoteCacheUnit, CapacityEvictionPrefersUnreleasedOverReleasedOverMemos) {
-  WeightedVoteCache cache(3, /*quota=*/100, /*k=*/4);
+  CompareStore cache(3, /*vote_quota=*/100, /*k=*/4);
   std::vector<VoteEvicted> evicted;
-  // Oldest first: a zero-tally *released* entry, an escalated memo, and an
-  // unreleased entry with a higher tally.
-  const auto released = cache.insert(1, 31, 0, 64, 0, false, evicted);
+  // Oldest first: a zero-tally *released* slot, an escalated memo, and an
+  // unreleased slot with a higher tally.
+  const auto released = cache.insert_vote(1, 31, 0, 64, 0, false, evicted);
   cache.set_released(released);
-  cache.insert(2, 62, 1, 64, 1, true, evicted);  // memo
-  const auto open = cache.insert(3, 93, 2, 64, 2, false, evicted);
+  cache.insert_vote(2, 62, 1, 64, 1, true, evicted);  // memo
+  const auto open = cache.insert_vote(3, 93, 2, 64, 2, false, evicted);
   EXPECT_TRUE(cache.add_vote(open, 2, 1.0));
   ASSERT_TRUE(evicted.empty());
 
-  // Full: the unreleased entry is the victim even though the released one
+  // Full: the unreleased slot is the victim even though the released one
   // is older AND lower-tally — evicting a released slot while sibling
   // copies are in flight is the duplicate-egress hazard.
-  const auto fourth = cache.insert(4, 124, 3, 64, 3, false, evicted);
+  const auto fourth = cache.insert_vote(4, 124, 3, 64, 3, false, evicted);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0].key, 3u);
 
-  // With no unreleased entry left, the *oldest* released entry goes
-  // before the memo.
+  // With no unreleased slot left, the *oldest* released slot goes before
+  // the memo.
   cache.set_released(fourth);
-  cache.insert(5, 155, 4, 64, 3, false, evicted);
+  cache.insert_vote(5, 155, 4, 64, 3, false, evicted);
   ASSERT_EQ(evicted.size(), 2u);
   EXPECT_EQ(evicted[1].key, 1u);
   EXPECT_TRUE(evicted[1].released);
 
-  // Memos only as the very last resort: fill the cache with nothing but
+  // Memos only as the very last resort: fill the kind with nothing but
   // memos and the oldest one surrenders.
-  cache.insert(6, 186, 5, 64, 0, true, evicted);  // evicts 5 (unreleased)
-  cache.insert(7, 217, 6, 64, 1, true, evicted);  // evicts 4 (released)
+  cache.insert_vote(6, 186, 5, 64, 0, true, evicted);  // evicts 5 (unreleased)
+  cache.insert_vote(7, 217, 6, 64, 1, true, evicted);  // evicts 4 (released)
   ASSERT_EQ(evicted.size(), 4u);
   EXPECT_EQ(evicted[2].key, 5u);
   EXPECT_EQ(evicted[3].key, 4u);
-  cache.insert(8, 248, 7, 64, 2, true, evicted);
+  cache.insert_vote(8, 248, 7, 64, 2, true, evicted);
   ASSERT_EQ(evicted.size(), 5u);
   EXPECT_EQ(evicted[4].key, 2u);  // the oldest memo
   EXPECT_TRUE(evicted[4].escalated);
@@ -409,9 +437,114 @@ TEST(VoteCacheProperty, MatchesModelWithoutQuotaPressure) {
            /*ops=*/20000);
 }
 
+/// What an operation on another kind must leave alone: the kind's slots
+/// in age order and its per-replica quota counts.
+struct KindView {
+  std::vector<CompareStore::Slot> age;
+  std::vector<std::size_t> quota;
+  bool operator==(const KindView&) const = default;
+};
+
+KindView view_of(const CompareStore& store, SlotKind kind, int k) {
+  KindView view;
+  for (auto s = store.head(kind); s != CompareStore::kNil;
+       s = store.next_in_age(s)) {
+    view.age.push_back(s);
+  }
+  for (int r = 0; r < k; ++r) view.quota.push_back(store.quota_count(kind, r));
+  return view;
+}
+
+/// A uniformly drawn live slot of `kind`, or kNil when it is empty.
+CompareStore::Slot live_slot(const CompareStore& store, SlotKind kind,
+                             std::mt19937_64& rng) {
+  if (store.size(kind) == 0) return CompareStore::kNil;
+  auto s = store.head(kind);
+  for (auto skip = rng() % store.size(kind); skip > 0; --skip) {
+    s = store.next_in_age(s);
+  }
+  return s;
+}
+
+TEST(VoteCacheProperty, KindsNeverDisturbEachOther) {
+  constexpr std::size_t kCapacity = 16;
+  constexpr int kReplicas = 4;
+  CompareStore store(kCapacity, /*vote_quota=*/3, kReplicas);
+  VoteOps votes(store, kCapacity, 3, kReplicas);
+  std::mt19937_64 rng(0xD15C);
+  // Entries and tombstones draw from the vote ops' key space, so every
+  // kind's slots share index chains with the others.
+  std::uniform_int_distribution<std::uint64_t> key_dist(1, 4 * kCapacity);
+  std::uniform_int_distribution<int> replica_dist(0, kReplicas - 1);
+  std::int64_t now = 0;
+
+  for (std::uint64_t step = 0; step < 20000; ++step) {
+    now += static_cast<std::int64_t>(rng() % 1000);
+    const int op = static_cast<int>(rng() % 100);
+    const SlotKind touched = op < 50   ? SlotKind::kVote
+                             : op < 80 ? SlotKind::kEntry
+                                       : SlotKind::kTombstone;
+    std::array<KindView, kSlotKinds> before;
+    for (std::size_t k = 0; k < kSlotKinds; ++k) {
+      before[k] = view_of(store, static_cast<SlotKind>(k), kReplicas);
+    }
+
+    const std::int64_t horizon =
+        now - static_cast<std::int64_t>(rng() % 20000);
+    const int sub = static_cast<int>(rng() % 4);
+    if (touched == SlotKind::kVote) {
+      votes.step(rng, now, step);
+    } else if (sub == 0) {  // insert, as the core does for its kind
+      const int replica = replica_dist(rng);
+      const bool entry = touched == SlotKind::kEntry;
+      const auto slot = store.insert(touched, key_dist(rng), now,
+                                     entry ? replica : -1, entry);
+      if (entry) {
+        EXPECT_TRUE(store.add_vote(slot, replica, 0.0));
+      }
+    } else if (sub == 1) {  // erase a live slot
+      const auto slot = live_slot(store, touched, rng);
+      if (slot != CompareStore::kNil) store.erase(slot);
+    } else if (sub == 2) {  // sweep the kind
+      store.sweep(touched, horizon, [](CompareStore::Slot) {});
+    } else if (touched == SlotKind::kEntry) {  // confirm or release
+      const auto slot = live_slot(store, touched, rng);
+      if (slot != CompareStore::kNil) {
+        if ((rng() & 1) != 0) {
+          store.add_vote(slot, replica_dist(rng), 0.0);
+        } else {
+          store.set_released(slot);
+        }
+      }
+    }
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "step " << step;
+
+    for (std::size_t k = 0; k < kSlotKinds; ++k) {
+      const auto kind = static_cast<SlotKind>(k);
+      if (kind == touched) continue;
+      ASSERT_EQ(view_of(store, kind, kReplicas), before[k])
+          << "step " << step << ": an op on kind "
+          << static_cast<int>(touched) << " moved kind " << k;
+    }
+    const CompareAudit audit = store.audit();
+    ASSERT_EQ(audit.live_slots() + audit.free_slots, audit.arena)
+        << "step " << step;
+    for (const SlotAudit& kind : audit.kinds) {
+      ASSERT_TRUE(kind.consistent()) << "step " << step;
+      ASSERT_TRUE(kind.age_ordered) << "step " << step;
+      ASSERT_EQ(kind.quota_counts, kind.quota_held) << "step " << step;
+    }
+    if (step % 64 == 0) {
+      expect_equivalent(store, votes.model(), step);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "step " << step;
+    }
+  }
+  expect_equivalent(store, votes.model(), 20000);
+}
+
 TEST(VoteCacheDeathTest, RejectsFleetBeyondReplicaMask) {
-  EXPECT_DEATH(WeightedVoteCache(16, 4, 0), "64-bit replica mask");
-  EXPECT_DEATH(WeightedVoteCache(16, 4, WeightedVoteCache::kMaxReplicas + 1),
+  EXPECT_DEATH(CompareStore(16, 4, 0), "64-bit replica mask");
+  EXPECT_DEATH(CompareStore(16, 4, CompareStore::kMaxReplicas + 1),
                "64-bit replica mask");
 }
 
