@@ -25,19 +25,16 @@ CompareStore::Slot CompareStore::alloc_slot() {
     return slot;
   }
   const auto slot = static_cast<Slot>(key_.size());
-  key_.push_back(0);
-  first_seen_ns_.push_back(0);
-  mask_.push_back(0);
-  tally_.push_back(0.0);
-  packet_id_.push_back(0);
-  bytes_.push_back(0);
-  first_replica_.push_back(-1);
-  kind_.push_back(SlotKind::kEntry);
-  flags_.push_back(0);
-  exemplar_.emplace_back();
-  next_.push_back(kNil);
-  age_prev_.push_back(kNil);
-  age_next_.push_back(kNil);
+  if (key_.size() == key_.capacity()) {
+    // Double, but stop once at capacity + 1 slots — the most a
+    // full-verify core ever holds — rather than doubling past it.
+    const std::size_t bound = capacity_ + 1;
+    std::size_t grown = std::max<std::size_t>(16, 2 * key_.size());
+    if (key_.size() < bound) grown = std::min(grown, bound);
+    for_each_column([grown](auto& column) { column.reserve(grown); });
+  }
+  // insert() sets every column; a free slot is one without kInUse.
+  for_each_column([](auto& column) { column.emplace_back(); });
   // Two buckets per slot keeps the expected chain length below one.
   if (key_.size() * 2 > buckets_.size()) grow_index();
   return slot;
@@ -199,7 +196,7 @@ CompareStore::Slot CompareStore::insert_vote(
     const Slot victim = quota_victim(first_replica);
     if (victim != kNil) evicted.push_back(expel(victim, VoteEvictReason::kQuota));
   }
-  while (votes.size >= vote_capacity()) {
+  while (votes.size >= vote_limit()) {
     evicted.push_back(expel(capacity_victim(), VoteEvictReason::kCapacity));
   }
 
@@ -243,25 +240,13 @@ void CompareStore::erase(Slot slot) {
 void CompareStore::set_capacity(std::size_t capacity,
                                 std::vector<VoteEvicted>& evicted) {
   capacity_ = capacity;
-  while (size(SlotKind::kVote) > vote_capacity()) {
+  while (size(SlotKind::kVote) > vote_limit()) {
     evicted.push_back(expel(capacity_victim(), VoteEvictReason::kCapacity));
   }
 }
 
 void CompareStore::clear() noexcept {
-  key_.clear();
-  first_seen_ns_.clear();
-  mask_.clear();
-  tally_.clear();
-  packet_id_.clear();
-  bytes_.clear();
-  first_replica_.clear();
-  kind_.clear();
-  flags_.clear();
-  exemplar_.clear();
-  next_.clear();
-  age_prev_.clear();
-  age_next_.clear();
+  for_each_column([](auto& column) { column.clear(); });
   buckets_.clear();
   bucket_mask_ = 0;
   free_.clear();
@@ -291,7 +276,7 @@ CompareAudit CompareStore::audit() const {
     }
   }
   out.of(SlotKind::kEntry).capacity = capacity_;
-  out.of(SlotKind::kVote).capacity = vote_capacity();
+  out.of(SlotKind::kVote).capacity = vote_limit();
   out.of(SlotKind::kTombstone).capacity =
       std::numeric_limits<std::size_t>::max();
   for (const Slot head : buckets_) {

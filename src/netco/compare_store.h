@@ -261,7 +261,7 @@ class CompareStore {
         .quota[static_cast<std::size_t>(replica)];
   }
   /// The vote kind's bound: the store's capacity, but at least one slot.
-  [[nodiscard]] std::size_t vote_capacity() const noexcept {
+  [[nodiscard]] std::size_t vote_limit() const noexcept {
     return capacity_ > 0 ? capacity_ : 1;
   }
   [[nodiscard]] std::uint64_t evicted_capacity() const noexcept {
@@ -293,6 +293,23 @@ class CompareStore {
     return lists_[static_cast<std::size_t>(kind_[s])];
   }
 
+  /// Applies `f` to every arena column.
+  template <typename F>
+  void for_each_column(F&& f) {
+    f(key_);
+    f(first_seen_ns_);
+    f(mask_);
+    f(tally_);
+    f(packet_id_);
+    f(bytes_);
+    f(first_replica_);
+    f(kind_);
+    f(flags_);
+    f(exemplar_);
+    f(next_);
+    f(age_prev_);
+    f(age_next_);
+  }
   Slot alloc_slot();
   void grow_index();
   void unlink_bucket(Slot slot) noexcept;

@@ -569,8 +569,8 @@ TEST(CheckAudit, VoteCacheSqueezeNeverStrandsEntries) {
   // Squeeze: the cache capacity knob binds the vote slots too, expelling
   // the surplus as capacity casualties.
   core.set_cache_capacity(16, at_ms(2));
-  EXPECT_EQ(store.vote_capacity(), 16u);
-  EXPECT_LE(store.size(kVote), store.vote_capacity());
+  EXPECT_EQ(store.vote_limit(), 16u);
+  EXPECT_LE(store.size(kVote), store.vote_limit());
   EXPECT_EQ(store.size(kVote) + store.evicted_capacity() +
                 store.evicted_quota(),
             kPackets);
@@ -585,7 +585,7 @@ TEST(CheckAudit, VoteCacheSqueezeNeverStrandsEntries) {
   // Release the squeeze and keep running: the cache regrows and the
   // conservation ledger still balances.
   core.set_cache_capacity(config.cache_capacity, at_ms(3));
-  EXPECT_EQ(store.vote_capacity(), config.cache_capacity);
+  EXPECT_EQ(store.vote_limit(), config.cache_capacity);
   for (std::uint32_t i = kPackets + 1; i <= kPackets + 10; ++i) {
     core.ingest_sampled(0, numbered_packet(i), at_ms(4));
   }
