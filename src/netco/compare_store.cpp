@@ -269,8 +269,12 @@ CompareAudit CompareStore::audit() const {
     kind.quota_counts = list.quota;
     kind.quota_held.assign(list.quota.size(), 0);
     std::int64_t prev_seen = std::numeric_limits<std::int64_t>::min();
-    for (Slot s = list.head; s != kNil; s = age_next_[s]) {
-      if (++kind.age_entries > out.arena) break;  // cycle guard
+    std::size_t walked = 0;
+    for (Slot s = list.head; s != kNil && walked++ <= out.arena;  // cycles
+         s = age_next_[s]) {
+      // A slot of another kind on this list leaves the recount short.
+      if (kind_[s] != static_cast<SlotKind>(k)) continue;
+      ++kind.age_entries;
       if (first_seen_ns_[s] < prev_seen) kind.age_ordered = false;
       prev_seen = first_seen_ns_[s];
     }

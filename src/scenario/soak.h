@@ -82,7 +82,9 @@ struct SoakResult {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t delivered_unique = 0;
   std::uint64_t compare_ingested = 0;
-  std::uint64_t compare_released = 0;  ///< a promoted standby's included
+  /// The circuit's compare.released counter: every core's releases, a
+  /// promoted standby's and those before a warm restart included.
+  std::uint64_t compare_released = 0;
   std::uint64_t trace_records = 0;
   std::uint64_t fault_events_applied = 0;
   std::uint64_t audits = 0;
