@@ -49,9 +49,9 @@ struct InvariantReport {
 
 /// Checks a compare store self-audit, per slot kind: the size counter,
 /// age list and index agree, ages are ordered, occupancy respects the
-/// capacity bound, quota counters match a recount of held quota slots;
-/// and live plus free slots fill the arena. `where` labels violations
-/// ("netco-e0@t=...").
+/// capacity bound, quota counters match the quota holders recounted
+/// from slot state; and live plus free slots fill the arena. `where`
+/// labels violations ("netco-e0@t=...").
 void check_audit(const core::CompareAudit& audit, const std::string& where,
                  InvariantReport& report);
 

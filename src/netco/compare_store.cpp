@@ -288,13 +288,30 @@ CompareAudit CompareStore::audit() const {
     for (Slot s = head; s != kNil; s = next_[s]) {
       SlotAudit& kind = out.of(kind_[s]);
       ++kind.index_entries;
-      if ((flags_[s] & kQuotaSlot) != 0) {
-        ++kind.quota_held[static_cast<std::size_t>(first_replica_[s])];
+      const auto replica = static_cast<std::size_t>(first_replica_[s]);
+      if (should_hold_quota(s) && replica < kind.quota_held.size()) {
+        ++kind.quota_held[replica];
       }
       if (++guard > out.arena) break;  // cycle guard
     }
   }
   return out;
+}
+
+bool CompareStore::should_hold_quota(Slot s) const noexcept {
+  // Ground truth from the slot's state, independent of kQuotaSlot (the
+  // flag that drives the counters), so a flag set or cleared at the
+  // wrong time shows as a counter/recount mismatch.
+  const int voters = std::popcount(mask_[s]);
+  switch (kind_[s]) {
+    case SlotKind::kEntry:
+      return voters == 1;
+    case SlotKind::kVote:
+      return (flags_[s] & (kEscalated | kReleased)) == 0 && voters <= 1;
+    case SlotKind::kTombstone:
+      return false;
+  }
+  return false;
 }
 
 }  // namespace netco::core

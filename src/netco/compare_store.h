@@ -83,7 +83,9 @@ struct SlotAudit {
   std::size_t index_entries = 0;  ///< recount: this kind's slots in the index
   /// The age list is oldest-first by first_seen.
   bool age_ordered = true;
-  /// Per-replica quota counters (left) vs a recount of held quota slots.
+  /// Per-replica quota counters (left) vs a recount of the slots whose
+  /// state holds a quota slot (see the file comment), made without the
+  /// flag that drives the counters.
   std::vector<std::size_t> quota_counts;
   std::vector<std::size_t> quota_held;
 
@@ -315,6 +317,8 @@ class CompareStore {
   void unlink_bucket(Slot slot) noexcept;
   void unlink_age(Slot slot) noexcept;
   void release_quota(Slot slot) noexcept;
+  /// Whether the slot's state says it holds a quota slot (audit recount).
+  [[nodiscard]] bool should_hold_quota(Slot s) const noexcept;
   [[nodiscard]] Slot capacity_victim() const noexcept;
   [[nodiscard]] Slot quota_victim(int replica) const noexcept;
   [[nodiscard]] VoteEvicted expel(Slot slot, VoteEvictReason reason);
