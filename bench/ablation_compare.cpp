@@ -11,8 +11,8 @@
 #include "bench_common.h"
 #include "host/ping.h"
 #include "host/udp_app.h"
+#include "netco/combiner.h"
 #include "netco/compare_core.h"
-#include "netco/sampling.h"
 #include "topo/figure3.h"
 #include "topo/inband.h"
 
@@ -225,9 +225,10 @@ void ablation_sampling() {
                                         net::Ipv4Address::from_id(1));
     auto& h2 = net.add_node<host::Host>("h2", net::MacAddress::from_id(2),
                                         net::Ipv4Address::from_id(2));
-    core::SamplingCombinerOptions options;
-    options.sample_rate = rate;
-    auto inst = core::build_sampling_combiner(
+    core::CombinerOptions options;
+    options.mode = core::EdgeMode::kDetect;
+    options.detect_sample_rate = rate;
+    auto inst = core::build_combiner(
         net, options,
         {core::PortAttachment{.neighbor = &h1, .link = {}, .local_macs = {h1.mac()}},
          core::PortAttachment{.neighbor = &h2, .link = {}, .local_macs = {h2.mac()}}},

@@ -10,7 +10,7 @@
 #include "device/network.h"
 #include "host/host.h"
 #include "host/ping.h"
-#include "netco/legacy_combiner.h"
+#include "netco/combiner.h"
 
 int main() {
   using namespace netco;
@@ -26,22 +26,24 @@ int main() {
 
   // One logical router position between two /24 subnets, realized as a
   // k=3 combiner of cloned legacy routers.
-  core::LegacyCombinerOptions options;
+  core::CombinerOptions options;
   options.k = 3;
-  auto combiner = core::build_legacy_combiner(
+  auto combiner = core::build_combiner(
       net, options,
-      {core::LegacyAttachment{
+      {core::PortAttachment{
            .neighbor = &h1,
            .link = {},
            .local_macs = {h1.mac()},
-           .interface = {.mac = net::MacAddress::from_id(100),
-                         .ip = net::Ipv4Address::from_octets(10, 0, 1, 254)}},
-       core::LegacyAttachment{
+           .router_interface = iproute::Interface{
+               .mac = net::MacAddress::from_id(100),
+               .ip = net::Ipv4Address::from_octets(10, 0, 1, 254)}},
+       core::PortAttachment{
            .neighbor = &h2,
            .link = {},
            .local_macs = {h2.mac()},
-           .interface = {.mac = net::MacAddress::from_id(101),
-                         .ip = net::Ipv4Address::from_octets(10, 0, 2, 254)}}},
+           .router_interface = iproute::Interface{
+               .mac = net::MacAddress::from_id(101),
+               .ip = net::Ipv4Address::from_octets(10, 0, 2, 254)}}},
       "legacy");
   combiner.add_route(net::Ipv4Address::from_octets(10, 0, 1, 0), 24, 0,
                      h1.mac());
@@ -49,14 +51,14 @@ int main() {
                      h2.mac());
 
   std::printf("Legacy combiner: %zu cloned IPv4 routers, %zu routes each\n",
-              combiner.replicas.size(), combiner.replicas[0]->fib().size());
+              combiner.routers.size(), combiner.routers[0]->fib().size());
 
   // Replica 0 is compromised: it corrupts every payload it routes.
   adversary::ModifyBehavior corrupt(adversary::match_all(),
                                     adversary::ModifyBehavior::corrupt_payload());
-  combiner.replicas[0]->set_interceptor(&corrupt);
+  combiner.routers[0]->set_interceptor(&corrupt);
   std::printf("Compromised %s with payload corruption.\n\n",
-              combiner.replicas[0]->name().c_str());
+              combiner.routers[0]->name().c_str());
 
   // Cross-subnet ping: L2 next hop is the logical router's interface MAC.
   host::PingConfig config;
@@ -82,5 +84,7 @@ int main() {
       "\nThe TTL decrement and MAC rewrites happened identically on every\n"
       "clone, so honest copies still compare bit-for-bit — the combiner\n"
       "works for classic routers exactly as for OpenFlow switches.\n");
-  return 0;
+  return report.received == config.count && h2.stats().rx_bad_checksum == 0
+             ? 0
+             : 1;
 }

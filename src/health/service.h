@@ -97,7 +97,7 @@ struct HealthSummary {
 class HealthService final : public core::VerdictSink {
  public:
   /// Installs itself as the verdict sink of every edge core in `combiner`
-  /// (which must have a compare, i.e. combine=true). The service must
+  /// (which must have a compare: not EdgeMode::kDup). The service must
   /// outlive neither the combiner nor the simulator; the destructor
   /// un-installs the sinks.
   HealthService(sim::Simulator& simulator, core::CombinerInstance& combiner,

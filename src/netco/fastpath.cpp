@@ -20,15 +20,10 @@ bool FastPathTap::intercept(device::Datapath& datapath,
                    "FastPathTap installed on a different datapath than it "
                    "was built for");
 
-  if (packet.size() >= 12) {
-    const net::MacAddress src = packet.mac_at(6);
-    for (const auto& mac : config_.local_macs) {
-      if (src == mac) {
-        // Spoofed source: fall through so the table's priority-25
-        // anti-spoof rule drops it, exactly as without the tap.
-        return false;
-      }
-    }
+  if (spoofs_local_source(packet, config_.local_macs)) {
+    // Fall through so the table's anti-spoof screen drops it, exactly as
+    // without the tap.
+    return false;
   }
 
   const FastResult result =
@@ -36,7 +31,6 @@ bool FastPathTap::intercept(device::Datapath& datapath,
   if (result.escalated) {
     // Elected for the full k-way compare: the classic punt. The compare
     // process ingests it and (maybe) packet-outs the release.
-    ++escalated_;
     edge->send_to_controller(in_port, std::move(packet));
     return true;
   }
@@ -45,14 +39,22 @@ bool FastPathTap::intercept(device::Datapath& datapath,
     // flow table with no in_port context — byte-for-byte what a
     // packet-out OFPP_TABLE from the compare process does, minus the
     // control-channel round trip.
-    ++released_;
     edge->apply_actions(device::kNoPort,
                         {openflow::OutputAction::table()},
                         std::move(*result.released));
-    return true;
   }
-  ++absorbed_;  // voted without releasing, or duplicate/late noise
-  return true;
+  return true;  // released, or voted without releasing, or late noise
+}
+
+bool spoofs_local_source(
+    const net::Packet& packet,
+    const std::vector<net::MacAddress>& local_macs) noexcept {
+  if (packet.size() < 12) return false;
+  const net::MacAddress src = packet.mac_at(6);
+  for (const auto& mac : local_macs) {
+    if (src == mac) return true;
+  }
+  return false;
 }
 
 }  // namespace netco::core

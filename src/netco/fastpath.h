@@ -12,11 +12,10 @@
 //
 // The tap preserves the edge's rule semantics: non-replica ports fall
 // through untouched, and a replica copy carrying one of this edge's own
-// source MACs falls through to the flow table where the priority-25
+// source MACs falls through to the flow table where the kScreenPriority
 // anti-spoof screen drops it (the tap must not become a spoof bypass).
 #pragma once
 
-#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -34,7 +33,7 @@ class FastPathTap : public device::DatapathInterceptor {
     /// Edge ingress port → replica index (same map the compare uses).
     std::unordered_map<device::PortIndex, int> replica_ports;
     /// This edge's own-side MACs: replica copies sourcing one of these
-    /// are spoofs and must reach the table's priority-25 drop rule.
+    /// are spoofs and must reach the table's kScreenPriority drop rule.
     std::vector<net::MacAddress> local_macs;
   };
 
@@ -58,21 +57,18 @@ class FastPathTap : public device::DatapathInterceptor {
   bool intercept(device::Datapath& datapath, device::PortIndex in_port,
                  net::Packet& packet) override;
 
-  /// Copies released / escalated / swallowed by this tap.
-  [[nodiscard]] std::uint64_t released() const noexcept { return released_; }
-  [[nodiscard]] std::uint64_t escalated() const noexcept {
-    return escalated_;
-  }
-  [[nodiscard]] std::uint64_t absorbed() const noexcept { return absorbed_; }
-
  private:
   Config config_;
   CompareCore* core_;
   openflow::OpenFlowSwitch* edge_;
   std::vector<int> port_to_replica_;  ///< dense replica_ports (-1 = none)
-  std::uint64_t released_ = 0;
-  std::uint64_t escalated_ = 0;
-  std::uint64_t absorbed_ = 0;
 };
+
+/// Whether a replica copy carries one of this edge's own-side MACs as its
+/// source — a spoof. Edge hooks let such a copy fall through to the flow
+/// table, whose kScreenPriority rule drops it.
+[[nodiscard]] bool spoofs_local_source(
+    const net::Packet& packet,
+    const std::vector<net::MacAddress>& local_macs) noexcept;
 
 }  // namespace netco::core

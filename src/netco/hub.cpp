@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "netco/combiner.h"
+
 namespace netco::core {
 
 Hub::Hub(sim::Simulator& simulator, std::string name,
@@ -66,22 +68,20 @@ void Hub::handle_packet(device::PortIndex in_port, net::Packet packet) {
 }
 
 void install_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from,
-                       const std::vector<device::PortIndex>& to,
-                       std::uint16_t priority) {
+                       const std::vector<device::PortIndex>& to) {
   openflow::FlowSpec spec;
   spec.match.with_in_port(from);
   for (device::PortIndex port : to) {
     spec.actions.push_back(openflow::OutputAction::to(port));
   }
-  spec.priority = priority;
+  spec.priority = kHubPriority;
   sw.table().add(std::move(spec), sw.simulator().now());
 }
 
-void remove_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from,
-                      std::uint16_t priority) {
+void remove_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from) {
   openflow::Match match;
   match.with_in_port(from);
-  sw.table().remove_strict(match, priority);
+  sw.table().remove_strict(match, kHubPriority);
 }
 
 }  // namespace netco::core

@@ -76,16 +76,15 @@ class Hub : public device::Node {
 };
 
 /// Realizes the hub as flow rules on a trusted OpenFlow switch: every
-/// packet entering on `from` is output on each port in `to`.
+/// packet entering on `from` is output on each port in `to`, at the edge
+/// layout's kHubPriority.
 void install_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from,
-                       const std::vector<device::PortIndex>& to,
-                       std::uint16_t priority = 30);
+                       const std::vector<device::PortIndex>& to);
 
 /// Removes the fan-out rule install_hub_rules() placed for `from` — a hub
 /// crash in the rules-on-edge deployment. The hub is stateless, so a
 /// restart is exactly install_hub_rules() again: the switch's port and
 /// registry counters continue from where they were (counter continuity).
-void remove_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from,
-                      std::uint16_t priority = 30);
+void remove_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from);
 
 }  // namespace netco::core

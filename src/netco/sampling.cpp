@@ -1,8 +1,9 @@
 #include "netco/sampling.h"
 
 #include "common/assert.h"
-#include "common/fmt.h"
 #include "common/hash.h"
+#include "netco/fastpath.h"
+#include "openflow/switch.h"
 
 namespace netco::core {
 
@@ -28,6 +29,9 @@ bool SamplingEdgeLogic::intercept(device::Datapath& datapath,
   if (it == config_.replica_ports.end()) {
     return false;  // not replica traffic: normal rules apply
   }
+  if (spoofs_local_source(packet, config_.local_macs)) {
+    return false;  // the table's anti-spoof screen drops it
+  }
   // The sampling logic lives on a trusted OpenFlow edge; escalation uses
   // its packet-in path.
   auto* edge = dynamic_cast<openflow::OpenFlowSwitch*>(&datapath);
@@ -35,122 +39,17 @@ bool SamplingEdgeLogic::intercept(device::Datapath& datapath,
                    "SamplingEdgeLogic requires an OpenFlow edge switch");
 
   const bool sampled = is_sampled(packet);
-  if (it->second == config_.primary_replica) {
-    ++forwarded_;
+  if (it->second == 0) {  // the primary replica
     if (sampled) {
-      ++sampled_;
       edge->send_to_controller(in_port, packet);
     }
     edge->raw_output(config_.neighbor_port, std::move(packet));
     return true;
   }
   if (sampled) {
-    ++sampled_;
     edge->send_to_controller(in_port, std::move(packet));
   }
   return true;  // secondary copies never continue downstream
-}
-
-void SamplingCombinerInstance::install_replica_route(
-    const net::MacAddress& mac, std::size_t idx) {
-  NETCO_ASSERT(idx < edges.size());
-  for (std::size_t j = 0; j < replicas.size(); ++j) {
-    openflow::FlowSpec spec;
-    spec.match.with_dl_dst(mac);
-    spec.actions = {openflow::OutputAction::to(replica_edge_port[j][idx])};
-    spec.priority = 10;
-    replicas[j]->table().add(std::move(spec),
-                             replicas[j]->simulator().now());
-  }
-}
-
-SamplingCombinerInstance build_sampling_combiner(
-    device::Network& network, const SamplingCombinerOptions& options,
-    const std::vector<PortAttachment>& attachments,
-    const std::string& name_prefix) {
-  NETCO_ASSERT(options.k >= 2);
-  NETCO_ASSERT(options.primary_replica >= 0 &&
-               options.primary_replica < options.k);
-  const auto k = static_cast<std::size_t>(options.k);
-  const std::size_t n = attachments.size();
-
-  SamplingCombinerInstance inst;
-  const auto profiles = options.replica_profiles.empty()
-                            ? default_replica_profiles()
-                            : options.replica_profiles;
-
-  for (std::size_t j = 0; j < k; ++j) {
-    auto& replica = network.add_node<openflow::OpenFlowSwitch>(
-        fmt("{}-r{}", name_prefix, j), profiles[j % profiles.size()]);
-    inst.replicas.push_back(&replica);
-  }
-
-  const openflow::SwitchProfile edge_profile{
-      .vendor = "trusted-edge", .processing_delay = options.edge_delay};
-  inst.edge_replica_port.resize(n);
-  inst.replica_edge_port.resize(k);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& edge = network.add_node<openflow::OpenFlowSwitch>(
-        fmt("{}-e{}", name_prefix, i), edge_profile);
-    inst.edges.push_back(&edge);
-    const auto conn =
-        network.connect(*attachments[i].neighbor, edge, attachments[i].link);
-    inst.edge_neighbor_port.push_back(conn.b_port);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const auto conn = network.connect(*inst.edges[i], *inst.replicas[j],
-                                        options.internal_link);
-      inst.edge_replica_port[i].push_back(conn.a_port);
-      inst.replica_edge_port[j].push_back(conn.b_port);
-    }
-  }
-
-  inst.compare = std::make_unique<CompareService>();
-  inst.compare_controller = std::make_unique<controller::Controller>(
-      network.simulator(), fmt("{}-compare", name_prefix), *inst.compare,
-      options.compare_profile);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& edge = *inst.edges[i];
-    const auto now = network.simulator().now();
-
-    // Hub: neighbor traffic is still copied to every replica (sampling
-    // reduces compare load, not replica load).
-    openflow::FlowSpec hub;
-    hub.match.with_in_port(inst.edge_neighbor_port[i]);
-    for (std::size_t j = 0; j < k; ++j) {
-      hub.actions.push_back(
-          openflow::OutputAction::to(inst.edge_replica_port[i][j]));
-    }
-    hub.priority = 30;
-    edge.table().add(std::move(hub), now);
-
-    // The trusted sampling logic replaces the punt rules.
-    SamplingEdgeLogic::Config logic_config;
-    logic_config.primary_replica = options.primary_replica;
-    logic_config.neighbor_port = inst.edge_neighbor_port[i];
-    logic_config.sample_rate = options.sample_rate;
-
-    CompareService::EdgeConfig edge_config;
-    edge_config.compare = options.compare;
-    edge_config.compare.k = options.k;
-    edge_config.compare.policy = ReleasePolicy::kFirstCopy;  // detection
-    edge_config.verify_only = true;
-    for (std::size_t j = 0; j < k; ++j) {
-      logic_config.replica_ports[inst.edge_replica_port[i][j]] =
-          static_cast<int>(j);
-      edge_config.replica_ports[inst.edge_replica_port[i][j]] =
-          static_cast<int>(j);
-    }
-    inst.edge_logic.push_back(
-        std::make_unique<SamplingEdgeLogic>(std::move(logic_config)));
-    edge.set_interceptor(inst.edge_logic.back().get());
-
-    inst.compare->configure_edge(edge.name(), std::move(edge_config));
-    inst.compare_controller->attach(edge);
-  }
-  return inst;
 }
 
 }  // namespace netco::core

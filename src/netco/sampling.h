@@ -3,21 +3,21 @@
 // data plane forwards a random subset of packets to a more thorough
 // out-of-band compare logic."
 //
-// Deployment: the trusted edge forwards the *primary* replica's output
-// downstream immediately (no holding — this is detection, not
-// prevention), and for a content-sampled subset of packets it punts every
-// replica's copy to the out-of-band compare, which verifies agreement and
-// raises mismatch alarms. Sampling is deterministic on packet content so
-// the k copies of one packet are always sampled consistently.
+// Deployment (build_combiner with EdgeMode::kDetect): the trusted edge
+// forwards the *primary* replica's (replica 0's) output downstream
+// immediately (no holding — this is detection, not prevention), and for a
+// content-sampled subset of packets it punts every replica's copy to the
+// out-of-band compare, which verifies agreement and raises mismatch
+// alarms. Sampling is deterministic on packet content so the k copies of
+// one packet are always sampled consistently.
 #pragma once
 
-#include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "device/datapath.h"
-#include "netco/combiner.h"  // PortAttachment
-#include "netco/compare_service.h"
-#include "openflow/switch.h"
+#include "net/address.h"
+#include "net/packet.h"
 
 namespace netco::core {
 
@@ -26,10 +26,11 @@ namespace netco::core {
 class SamplingEdgeLogic : public device::DatapathInterceptor {
  public:
   struct Config {
-    /// Edge ingress port → replica index.
+    /// Edge ingress port → replica index; replica 0 is forwarded.
     std::unordered_map<device::PortIndex, int> replica_ports;
-    /// Whose output is forwarded downstream unverified.
-    int primary_replica = 0;
+    /// This edge's own-side MACs: replica copies sourcing one of these
+    /// are spoofs and must reach the table's kScreenPriority drop rule.
+    std::vector<net::MacAddress> local_macs;
     /// Port toward this edge's neighbor (downstream).
     device::PortIndex neighbor_port = 0;
     /// Fraction of packets escalated to the compare, in [0, 1].
@@ -41,53 +42,12 @@ class SamplingEdgeLogic : public device::DatapathInterceptor {
   bool intercept(device::Datapath& datapath, device::PortIndex in_port,
                  net::Packet& packet) override;
 
-  /// Packets forwarded downstream / escalated to the compare.
-  [[nodiscard]] std::uint64_t forwarded() const noexcept { return forwarded_; }
-  [[nodiscard]] std::uint64_t sampled() const noexcept { return sampled_; }
-
   /// The deterministic content-based sampling decision (exposed for
   /// tests: all copies of one packet share it).
   [[nodiscard]] bool is_sampled(const net::Packet& packet) const noexcept;
 
  private:
   Config config_;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t sampled_ = 0;
 };
-
-/// Options for a sampling-detection combiner.
-struct SamplingCombinerOptions {
-  int k = 3;
-  double sample_rate = 0.05;
-  int primary_replica = 0;
-  CompareConfig compare;  ///< policy is forced to kFirstCopy (detection)
-  controller::CostProfile compare_profile =
-      controller::CostProfile::c_program();
-  link::LinkConfig internal_link;
-  sim::Duration edge_delay = sim::Duration::microseconds(5);
-  std::vector<openflow::SwitchProfile> replica_profiles;
-};
-
-/// Handles to a built sampling combiner.
-struct SamplingCombinerInstance {
-  std::vector<openflow::OpenFlowSwitch*> edges;
-  std::vector<openflow::OpenFlowSwitch*> replicas;
-  std::vector<device::PortIndex> edge_neighbor_port;
-  std::vector<std::vector<device::PortIndex>> edge_replica_port;
-  std::vector<std::vector<device::PortIndex>> replica_edge_port;
-  std::vector<std::unique_ptr<SamplingEdgeLogic>> edge_logic;  ///< per edge
-  std::unique_ptr<controller::Controller> compare_controller;
-  std::unique_ptr<CompareService> compare;
-
-  /// Installs "dl_dst=mac → toward attachment idx" into every replica.
-  void install_replica_route(const net::MacAddress& mac, std::size_t idx);
-};
-
-/// Builds a sampling-detection combiner (reuses PortAttachment from the
-/// prevention combiner).
-SamplingCombinerInstance build_sampling_combiner(
-    device::Network& network, const SamplingCombinerOptions& options,
-    const std::vector<PortAttachment>& attachments,
-    const std::string& name_prefix);
 
 }  // namespace netco::core

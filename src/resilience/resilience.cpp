@@ -12,14 +12,8 @@ namespace netco::resilience {
 
 namespace {
 
-/// Degraded pass-through priorities relative to the edge rule set: the
-/// punt-to-compare rule sits at 20 and the anti-spoof screens at 25.
-/// kFailOpenSingle installs *between* them (above the punt so traffic
-/// stops dying against the dead process, below the screen so spoofed
-/// source MACs still drop). kFailStatic pre-installs *below* the punt —
-/// invisible until the punt rule is removed.
-constexpr std::uint16_t kPuntPriority = 20;
-constexpr std::uint16_t kFailOpenPriority = 22;
+/// kFailStatic pre-installs *below* the edge layout's punt rule
+/// (core::kPuntPriority) — invisible until the punt rule is removed.
 constexpr std::uint16_t kFailStaticPriority = 15;
 
 sim::Duration scaled(sim::Duration base, double factor) {
@@ -381,7 +375,7 @@ void ResilienceManager::enter_degraded() {
                   config_.designated_replica)]);
           spec.actions = {
               openflow::OutputAction::to(combiner_.edge_neighbor_port[i])};
-          spec.priority = kFailOpenPriority;
+          spec.priority = core::kFailOpenPriority;
           combiner_.edges[i]->table().add(std::move(spec), simulator_.now());
         }
         NETCO_LOG_INFO("resilience",
@@ -400,7 +394,7 @@ void ResilienceManager::enter_degraded() {
           match.with_in_port(
               combiner_.edge_replica_port[i][static_cast<std::size_t>(
                   config_.designated_replica)]);
-          combiner_.edges[i]->table().remove_strict(match, kPuntPriority);
+          combiner_.edges[i]->table().remove_strict(match, core::kPuntPriority);
         }
       });
       break;
@@ -423,7 +417,8 @@ void ResilienceManager::exit_degraded() {
       case DegradedPolicy::kFailOpenSingle: {
         openflow::Match match;
         match.with_in_port(rp);
-        combiner_.edges[i]->table().remove_strict(match, kFailOpenPriority);
+        combiner_.edges[i]->table().remove_strict(match,
+                                                  core::kFailOpenPriority);
         break;
       }
       case DegradedPolicy::kFailStatic: {
@@ -432,7 +427,7 @@ void ResilienceManager::exit_degraded() {
         openflow::FlowSpec punt;
         punt.match.with_in_port(rp);
         punt.actions = {openflow::OutputAction::controller()};
-        punt.priority = kPuntPriority;
+        punt.priority = core::kPuntPriority;
         combiner_.edges[i]->table().add(std::move(punt), simulator_.now());
         break;
       }

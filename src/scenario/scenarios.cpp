@@ -61,7 +61,8 @@ topo::Figure3Options make_options(ScenarioKind kind, std::uint64_t seed) {
   topo::Figure3Options options;
   options.seed = seed;
   options.use_combiner = t.use_combiner;
-  options.combiner.combine = t.combine;
+  options.combiner.mode =
+      t.combine ? core::EdgeMode::kCompare : core::EdgeMode::kDup;
   options.combiner.k = t.k == 0 ? 3 : t.k;
   options.combiner.compare_profile = t.pox
                                          ? controller::CostProfile::pox()

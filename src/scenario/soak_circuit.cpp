@@ -98,7 +98,7 @@ SoakCircuit::SoakCircuit(const SoakOptions& options)
   topo_ = std::make_unique<topo::Figure3Topology>(topo_options_);
 
   // Construct after the topology, destroy before it (taps and timers
-  // reference the edges). Requires the compare (combine mode).
+  // reference the edges). Requires the compare (not EdgeMode::kDup).
   core::CombinerInstance& combiner = topo_->combiner();
   if (opts_.resilience.enabled && combiner.compare != nullptr) {
     resilience_mgr_ = std::make_unique<resilience::ResilienceManager>(

@@ -25,7 +25,7 @@ namespace netco::topo {
 struct Figure3Options {
   /// false → the Linespeed reduction (single router, no combiner).
   bool use_combiner = true;
-  /// Combiner parameters (k, compare config, profiles, combine on/off).
+  /// Combiner parameters (k, compare config, profiles, edge mode).
   core::CombinerOptions combiner;
   /// Host access links and (for Linespeed) inter-switch links.
   link::LinkConfig access_link;
@@ -34,7 +34,7 @@ struct Figure3Options {
   /// Simulation seed.
   std::uint64_t seed = 1;
   /// Replica-health loop (src/health). Disabled by default; enabling it
-  /// requires use_combiner with combine=true (it needs the compare).
+  /// requires use_combiner with a compare (any mode but EdgeMode::kDup).
   health::HealthConfig health;
 };
 

@@ -90,7 +90,7 @@ void VirtualOverlayTopology::build() {
       split.actions.push_back(
           openflow::OutputAction::to(static_cast<device::PortIndex>(1 + i)));
     }
-    split.priority = 30;
+    split.priority = core::kHubPriority;
     edge.table().add(std::move(split), now);
 
     core::CompareService::EdgeConfig config;
@@ -103,13 +103,13 @@ void VirtualOverlayTopology::build() {
       openflow::FlowSpec screen;
       screen.match.with_in_port(port).with_dl_src(local_mac);
       screen.actions = {};
-      screen.priority = 25;
+      screen.priority = core::kScreenPriority;
       edge.table().add(std::move(screen), now);
 
       openflow::FlowSpec punt;
       punt.match.with_in_port(port);
       punt.actions = {openflow::OutputAction::controller()};
-      punt.priority = 20;
+      punt.priority = core::kPuntPriority;
       edge.table().add(std::move(punt), now);
 
       config.replica_vlans[static_cast<std::uint16_t>(options_.base_vlan + i)] =

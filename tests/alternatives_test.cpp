@@ -6,6 +6,7 @@
 #include "device/network.h"
 #include "host/host.h"
 #include "host/ping.h"
+#include "netco/combiner.h"
 #include "netco/sampling.h"
 #include "scenario/scenarios.h"
 #include "topo/figure3.h"
@@ -21,17 +22,17 @@ struct SamplingFixture {
   device::Network net{sim};
   host::Host& h1;
   host::Host& h2;
-  SamplingCombinerInstance inst;
+  CombinerInstance inst;
 
-  explicit SamplingFixture(double rate, int primary = 0)
+  explicit SamplingFixture(double rate)
       : h1(net.add_node<host::Host>("h1", net::MacAddress::from_id(1),
                                     net::Ipv4Address::from_id(1))),
         h2(net.add_node<host::Host>("h2", net::MacAddress::from_id(2),
                                     net::Ipv4Address::from_id(2))) {
-    SamplingCombinerOptions options;
-    options.sample_rate = rate;
-    options.primary_replica = primary;
-    inst = build_sampling_combiner(
+    CombinerOptions options;
+    options.mode = EdgeMode::kDetect;
+    options.detect_sample_rate = rate;
+    inst = build_combiner(
         net, options,
         {PortAttachment{.neighbor = &h1, .link = {}, .local_macs = {h1.mac()}},
          PortAttachment{.neighbor = &h2, .link = {}, .local_macs = {h2.mac()}}},
@@ -88,7 +89,7 @@ TEST(SamplingCombiner, BenignTrafficFlowsWithoutCompareHolding) {
 TEST(SamplingCombiner, SampleRateCutsCompareLoad) {
   SamplingFixture full(1.0);
   full.ping(30);
-  SamplingFixture tenth(0.1, 0);
+  SamplingFixture tenth(0.1);
   tenth.ping(30);
   EXPECT_LT(tenth.compare_ingested(), full.compare_ingested() / 3);
 }
@@ -123,6 +124,20 @@ TEST(SamplingCombiner, MaliciousPrimaryIsDetectedButNotPrevented) {
   EXPECT_EQ(report.received, 0);  // corrupted requests fail host checksum
   EXPECT_GT(f.h2.stats().rx_bad_checksum, 0u);
   EXPECT_GT(f.mismatches(), 0u);  // ...but the operator knows
+}
+
+TEST(SamplingCombiner, MirrorTowardOriginScreenedOut) {
+  // The forwarded primary mirrors h1→h2 traffic back toward h1's edge. The
+  // edge's anti-spoof screen must eat those copies, as on a prevention
+  // edge, instead of the sampling logic forwarding them to h1.
+  SamplingFixture f(1.0);
+  adversary::MirrorBehavior mirror(adversary::match_dl_dst(f.h2.mac()),
+                                   f.inst.replica_edge_port[0][0]);
+  f.inst.replicas[0]->set_interceptor(&mirror);
+  const auto report = f.ping(10);
+  EXPECT_EQ(report.received, 10);
+  EXPECT_GT(mirror.attack_stats().packets_attacked, 0u);
+  EXPECT_EQ(f.h1.stats().rx_stray, 0u);
 }
 
 TEST(SamplingCombiner, SamplingDecisionConsistentAcrossCopies) {

@@ -11,7 +11,7 @@
 #include "host/ping.h"
 #include "iproute/legacy_router.h"
 #include "iproute/lpm.h"
-#include "netco/legacy_combiner.h"
+#include "netco/combiner.h"
 
 namespace netco::iproute {
 namespace {
@@ -266,7 +266,7 @@ struct LegacyCombinerFixture {
   Network net{sim};
   host::Host& h1;
   host::Host& h2;
-  core::LegacyCombinerInstance combiner;
+  core::CombinerInstance combiner;
 
   explicit LegacyCombinerFixture(int k = 3)
       : h1(net.add_node<host::Host>(
@@ -275,22 +275,24 @@ struct LegacyCombinerFixture {
         h2(net.add_node<host::Host>(
             "h2", net::MacAddress::from_id(2),
             net::Ipv4Address::from_octets(10, 0, 2, 1))) {
-    core::LegacyCombinerOptions options;
+    core::CombinerOptions options;
     options.k = k;
-    combiner = core::build_legacy_combiner(
+    combiner = core::build_combiner(
         net, options,
-        {core::LegacyAttachment{
+        {core::PortAttachment{
              .neighbor = &h1,
              .link = {},
              .local_macs = {h1.mac()},
-             .interface = {.mac = net::MacAddress::from_id(100),
-                           .ip = net::Ipv4Address::from_octets(10, 0, 1, 254)}},
-         core::LegacyAttachment{
+             .router_interface = Interface{
+                 .mac = net::MacAddress::from_id(100),
+                 .ip = net::Ipv4Address::from_octets(10, 0, 1, 254)}},
+         core::PortAttachment{
              .neighbor = &h2,
              .link = {},
              .local_macs = {h2.mac()},
-             .interface = {.mac = net::MacAddress::from_id(101),
-                           .ip = net::Ipv4Address::from_octets(10, 0, 2, 254)}}},
+             .router_interface = Interface{
+                 .mac = net::MacAddress::from_id(101),
+                 .ip = net::Ipv4Address::from_octets(10, 0, 2, 254)}}},
         "legacy");
     combiner.add_route(net::Ipv4Address::from_octets(10, 0, 1, 0), 24, 0,
                        h1.mac());
@@ -317,8 +319,8 @@ struct LegacyCombinerFixture {
 
 TEST(LegacyCombiner, ReplicasAreConfigurationClones) {
   LegacyCombinerFixture f;
-  ASSERT_EQ(f.combiner.replicas.size(), 3u);
-  for (const auto* replica : f.combiner.replicas) {
+  ASSERT_EQ(f.combiner.routers.size(), 3u);
+  for (const auto* replica : f.combiner.routers) {
     EXPECT_EQ(replica->interfaces()[0].mac, net::MacAddress::from_id(100));
     EXPECT_EQ(replica->interfaces()[1].mac, net::MacAddress::from_id(101));
     EXPECT_EQ(replica->fib().size(), 2u);
@@ -337,7 +339,7 @@ TEST(LegacyCombiner, RoutedPingFlowsThrough) {
 TEST(LegacyCombiner, DropperReplicaMasked) {
   LegacyCombinerFixture f;
   adversary::DropBehavior drop(adversary::match_all());
-  f.combiner.replicas[0]->set_interceptor(&drop);
+  f.combiner.routers[0]->set_interceptor(&drop);
   const auto report = f.ping(10);
   EXPECT_EQ(report.received, 10);
 }
@@ -346,7 +348,7 @@ TEST(LegacyCombiner, CorruptingReplicaMasked) {
   LegacyCombinerFixture f;
   adversary::ModifyBehavior modify(adversary::match_all(),
                                    adversary::ModifyBehavior::corrupt_payload());
-  f.combiner.replicas[0]->set_interceptor(&modify);
+  f.combiner.routers[0]->set_interceptor(&modify);
   const auto report = f.ping(10);
   EXPECT_EQ(report.received, 10);
   EXPECT_EQ(f.h2.stats().rx_bad_checksum, 0u);
@@ -356,8 +358,8 @@ TEST(LegacyCombiner, TwoDroppersDefeatK3) {
   LegacyCombinerFixture f;
   adversary::DropBehavior drop0(adversary::match_all());
   adversary::DropBehavior drop1(adversary::match_all());
-  f.combiner.replicas[0]->set_interceptor(&drop0);
-  f.combiner.replicas[1]->set_interceptor(&drop1);
+  f.combiner.routers[0]->set_interceptor(&drop0);
+  f.combiner.routers[1]->set_interceptor(&drop1);
   const auto report = f.ping(5);
   EXPECT_EQ(report.received, 0);
 }
@@ -367,8 +369,8 @@ TEST(LegacyCombiner, K5ToleratesTwoAttackers) {
   adversary::DropBehavior drop(adversary::match_all());
   adversary::ModifyBehavior modify(adversary::match_all(),
                                    adversary::ModifyBehavior::corrupt_payload());
-  f.combiner.replicas[0]->set_interceptor(&drop);
-  f.combiner.replicas[1]->set_interceptor(&modify);
+  f.combiner.routers[0]->set_interceptor(&drop);
+  f.combiner.routers[1]->set_interceptor(&modify);
   const auto report = f.ping(10);
   EXPECT_EQ(report.received, 10);
 }
