@@ -188,6 +188,10 @@ TEST(ResilienceE2E, DegradedPoliciesBehaveAsSpecified) {
     return run_soak(options);
   };
 
+  constexpr std::uint64_t kGoldenFailClosed = 0x5f148c27f272b943ULL;
+  constexpr std::uint64_t kGoldenFailOpenSingle = 0x970ab839de039500ULL;
+  constexpr std::uint64_t kGoldenFailStatic = 0x1b3aa2e20b807118ULL;
+
   const SoakResult closed = run_policy(resilience::DegradedPolicy::kFailClosed);
   const SoakResult open =
       run_policy(resilience::DegradedPolicy::kFailOpenSingle);
@@ -200,6 +204,12 @@ TEST(ResilienceE2E, DegradedPoliciesBehaveAsSpecified) {
     EXPECT_EQ(r->resilience_failovers, 0u);
     EXPECT_EQ(r->resilience_degraded_entries, 1u);
   }
+  EXPECT_EQ(closed.stream_hash, kGoldenFailClosed)
+      << "fail_closed trace stream drifted from its golden";
+  EXPECT_EQ(open.stream_hash, kGoldenFailOpenSingle)
+      << "fail_open_single trace stream drifted from its golden";
+  EXPECT_EQ(fstatic.stream_hash, kGoldenFailStatic)
+      << "fail_static trace stream drifted from its golden";
 
   // fail_closed: safety over availability — everything after the crash
   // punts into the dead process and drops.

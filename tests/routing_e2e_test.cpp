@@ -10,6 +10,8 @@
 // CMake preset selects these tests by name to race-check the fleet path.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "scenario/convergence.h"
 
 namespace netco::scenario {
@@ -46,6 +48,8 @@ TEST(RoutingConvergence, OneLiarDefeatsUnprotectedButNotCombiner) {
   ConvergenceOptions options = quick_options();
   options.liars = 1;
   options.attack = RoutingAttack::kInflate;
+  constexpr std::uint64_t kGoldenInflateCombiner = 0x431146bf16922fd2ULL;
+  constexpr std::uint64_t kGoldenInflateUnprotected = 0x0ea5f6df1ecd9d15ULL;
 
   options.use_combiner = true;
   const ConvergenceResult protected_run = run_convergence(options);
@@ -53,11 +57,15 @@ TEST(RoutingConvergence, OneLiarDefeatsUnprotectedButNotCombiner) {
       << "2 honest replicas out-vote the liar in a k=3 quorum";
   EXPECT_GE(protected_run.convergence_ns, 0);
   EXPECT_EQ(protected_run.invariant_violations, 0u);
+  EXPECT_EQ(protected_run.stream_hash, kGoldenInflateCombiner)
+      << "combiner trace stream drifted from its golden";
 
   options.use_combiner = false;
   const ConvergenceResult unprotected_run = run_convergence(options);
   EXPECT_FALSE(unprotected_run.converged_correct)
       << "a single lying switch owns the unprotected position";
+  EXPECT_EQ(unprotected_run.stream_hash, kGoldenInflateUnprotected)
+      << "unprotected trace stream drifted from its golden";
 }
 
 TEST(RoutingConvergence, TwoIdenticalLiarsOutvoteK3Quorum) {

@@ -42,6 +42,12 @@ TEST(WorkloadPool, AcquireReleaseRecyclesWithoutAllocating) {
   EXPECT_EQ(pool.peak_live(), 4u);
 }
 
+/// Golden stream hashes of three runs built from workload_options below:
+/// the flash crowd and the diurnal ramp at the default seed, and the DDoS
+/// burst at seed 99. Between them they read every WorkloadConfig setting.
+constexpr std::uint64_t kGoldenFlashCrowd = 0x9eab4b04c35116ebULL;
+constexpr std::uint64_t kGoldenDiurnal = 0x52be7a58ead90c5aULL;
+constexpr std::uint64_t kGoldenDdosBurst = 0x49fd5f927df6ba6fULL;
 SoakOptions workload_options(workload::Scenario scenario,
                              std::uint64_t seed = 4242) {
   SoakOptions options;
@@ -88,6 +94,8 @@ TEST(WorkloadSmoke, SameSeedIsBitReproducible) {
   const SoakResult a = run_soak(options);
   const SoakResult b = run_soak(options);
   EXPECT_TRUE(a.ok()) << "violations=" << a.invariants.violations;
+  EXPECT_EQ(a.stream_hash, kGoldenFlashCrowd)
+      << "flash-crowd trace stream drifted from its golden";
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   EXPECT_EQ(a.trace_records, b.trace_records);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
@@ -100,6 +108,8 @@ TEST(WorkloadSmoke, DiurnalRampShapesArrivals) {
   SoakOptions options = workload_options(workload::Scenario::kDiurnal);
   const SoakResult result = run_soak(options);
   EXPECT_TRUE(result.ok()) << "violations=" << result.invariants.violations;
+  EXPECT_EQ(result.stream_hash, kGoldenDiurnal)
+      << "diurnal trace stream drifted from its golden";
   EXPECT_GT(result.wl_sessions_started, 10u);
   EXPECT_GT(result.wl_flows_completed, 0u);
 }
@@ -123,6 +133,8 @@ TEST(WorkloadSmoke, DdosBurstIsBitReproducible) {
       workload_options(workload::Scenario::kDdosBurst, 99);
   const SoakResult a = run_soak(options);
   const SoakResult b = run_soak(options);
+  EXPECT_EQ(a.stream_hash, kGoldenDdosBurst)
+      << "DDoS-burst trace stream drifted from its golden";
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.wl_ddos_emitted, b.wl_ddos_emitted);
