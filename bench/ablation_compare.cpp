@@ -280,7 +280,7 @@ void ablation_inband() {
                    std::to_string(report.received)});
   }
   {
-    topo::InbandCombinerTopology topo(topo::InbandOptions{});
+    topo::InbandCombinerTopology topo;
     host::PingConfig config;
     config.dst_mac = topo.h2().mac();
     config.dst_ip = topo.h2().ip();

@@ -198,7 +198,8 @@ int main() {
                 "\"max_absorbed\":%d,\"handoff_failures\":%d,"
                 "\"deterministic\":%s,",
                 quick ? "true" : "false",
-                static_cast<unsigned long long>(base.seed), base.k, sweep_max,
+                static_cast<unsigned long long>(base.seed),
+                scenario::FailoverOptions::kRadix, sweep_max,
                 max_absorbed, handoff,
                 deterministic ? "true" : "false");
   const std::string section = std::string(head) + "\"configs\":" + configs +

@@ -183,8 +183,7 @@ int main() {
   bool all_ok = capacity.pass;
 
   // --- phase 2: SLO sweep per scenario ------------------------------------
-  const std::size_t payload_bytes =
-      scenario::SoakOptions{}.workload.payload_bytes;
+  const std::size_t payload_bytes = workload::WorkloadConfig::kPayloadBytes;
   std::string scenarios_json = "[";
   bool first_scenario = true;
   for (const workload::Scenario scenario : scenarios) {

@@ -20,7 +20,8 @@ int main() {
   std::printf("Virtualized NetCo overlay: hA = sA = {3 tunnels} = sB = hB\n");
   std::printf("Paths (existing fabric, zero new routers):\n");
   for (int path = 0; path < options.paths; ++path) {
-    std::printf("  tunnel VLAN %d:", options.base_vlan + path);
+    std::printf("  tunnel VLAN %d:",
+                topo::VirtualOverlayOptions::kBaseVlan + path);
     for (int hop = 0; hop < options.hops_per_path; ++hop) {
       const auto& sw = topo.path_switch(path, hop);
       std::printf(" %s(%s)", sw.name().c_str(), sw.profile().vendor.c_str());

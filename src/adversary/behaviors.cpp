@@ -168,14 +168,6 @@ bool CompositeBehavior::intercept(device::Datapath& dp,
   return false;
 }
 
-bool ScheduledBehavior::intercept(device::Datapath& dp,
-                                  device::PortIndex in_port,
-                                  net::Packet& packet) {
-  const auto now = dp.datapath_simulator().now();
-  if (now < start_ || now >= end_) return false;
-  return inner_->intercept(dp, in_port, packet);
-}
-
 DosFlooder::DosFlooder(device::Datapath& datapath, Config config)
     : datapath_(datapath), config_(config) {
   NETCO_ASSERT(config_.packets_per_sec > 0);

@@ -11,9 +11,9 @@
 //                            DosFlooder for generation)
 //   4. Denial-of-Service   → DosFlooder (flooding) / DropBehavior (drops)
 //
-// Behaviours take a PacketPredicate selecting victim traffic, a
-// CompositeBehavior chains several, and ScheduledBehavior gates any
-// behaviour to a time window (attacks that switch on mid-run).
+// Behaviours take a PacketPredicate selecting victim traffic, and a
+// CompositeBehavior chains several. Attacks that switch on mid-run are
+// kBehaviorSwap events in a faultinject::FaultPlan.
 #pragma once
 
 #include <cstdint>
@@ -207,22 +207,6 @@ class CompositeBehavior final : public device::DatapathInterceptor {
 
  private:
   std::vector<std::unique_ptr<device::DatapathInterceptor>> chain_;
-};
-
-/// Gates an inner behaviour to [start, end) of simulated time.
-class ScheduledBehavior final : public device::DatapathInterceptor {
- public:
-  ScheduledBehavior(std::unique_ptr<device::DatapathInterceptor> inner,
-                    sim::TimePoint start, sim::TimePoint end)
-      : inner_(std::move(inner)), start_(start), end_(end) {}
-
-  bool intercept(device::Datapath& dp, device::PortIndex in_port,
-                 net::Packet& packet) override;
-
- private:
-  std::unique_ptr<device::DatapathInterceptor> inner_;
-  sim::TimePoint start_;
-  sim::TimePoint end_;
 };
 
 /// §II-4: a compromised switch fabricating traffic at a fixed packet rate

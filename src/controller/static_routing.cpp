@@ -5,12 +5,11 @@
 namespace netco::controller {
 
 void install_mac_route(openflow::OpenFlowSwitch& sw,
-                       const net::MacAddress& dst, device::PortIndex out_port,
-                       std::uint16_t priority) {
+                       const net::MacAddress& dst, device::PortIndex out_port) {
   openflow::FlowSpec spec;
   spec.match.with_dl_dst(dst);
   spec.actions = {openflow::OutputAction::to(out_port)};
-  spec.priority = priority;
+  spec.priority = kMacRoutePriority;
   sw.table().add(std::move(spec), sw.simulator().now());
 }
 
@@ -31,7 +30,7 @@ void StaticRoutingApp::on_attached(Controller& /*controller*/,
     openflow::FlowSpec spec;
     spec.match.with_dl_dst(mac);
     spec.actions = {openflow::OutputAction::to(port)};
-    spec.priority = 10;
+    spec.priority = kMacRoutePriority;
     channel.flow_mod(
         openflow::FlowMod{openflow::FlowModCommand::kAdd, std::move(spec)});
   }

@@ -16,14 +16,19 @@
 
 namespace netco::controller {
 
-/// Installs "dl_dst == dst → output(port)" directly into `sw`'s table.
+/// Priority of every destination-MAC route: the topology builders', the
+/// trusted combiner edges' (below their hub, screen and punt rules) and
+/// the guarded primaries the failover compiler re-installs in place.
+inline constexpr std::uint16_t kMacRoutePriority = 10;
+
+/// Installs "dl_dst == dst → output(port)" at kMacRoutePriority directly
+/// into `sw`'s table.
 void install_mac_route(openflow::OpenFlowSwitch& sw,
-                       const net::MacAddress& dst, device::PortIndex out_port,
-                       std::uint16_t priority = 10);
+                       const net::MacAddress& dst, device::PortIndex out_port);
 
 /// Installs a drop rule for `dst` (empty action list) into `sw`'s table.
 void install_mac_drop(openflow::OpenFlowSwitch& sw, const net::MacAddress& dst,
-                      std::uint16_t priority = 10);
+                      std::uint16_t priority = kMacRoutePriority);
 
 /// A static route set: per switch name, destination MAC → output port.
 using RouteMap = std::unordered_map<

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "controller/static_routing.h"
 #include "openflow/action.h"
 #include "openflow/flow_table.h"
 #include "openflow/match.h"
@@ -18,15 +19,35 @@ using openflow::OutputAction;
 using openflow::SetVlanVidAction;
 using openflow::StripVlanAction;
 
+/// First VID of the detour-budget window [base, base + kMaxDetourHops).
+constexpr std::uint16_t kDetourVidBase = 0xF00;
+/// Detour hop budget H: a tagged packet is rewritten at most H-1 times
+/// before it must reach (and be stripped at) its home edge. The longest
+/// single-failure detour in a fat-tree consumes 5 budget units.
+constexpr int kMaxDetourHops = 6;
+static_assert(kMaxDetourHops >= 2,
+              "detour budget too small to take a single hop");
+/// The guarded primaries re-install install_mac_route's routes at the
+/// same priority, so the FlowTable replaces them in place.
+constexpr std::uint16_t kPrimaryPriority = controller::kMacRoutePriority;
+/// Untagged backup chains descend from here, below the primary.
+constexpr std::uint16_t kBackupPriority = 9;
+static_assert(kBackupPriority < kPrimaryPriority,
+              "untagged backups must rank below the primary");
+/// Tagged detour rules descend from here, above the primary, so tagged
+/// packets never fall through to an untagged MAC route mid-detour.
+constexpr std::uint16_t kDetourPriority = 40;
+static_assert(kDetourPriority > kPrimaryPriority,
+              "tagged detours must rank above the primary");
+
 /// Per-run installation context: one destination MAC compiled at a time.
 struct Compile {
   topo::FatTreeTopology& topo;
-  const CompilerOptions& opts;
   CompileSummary summary;
   sim::TimePoint now;
 
-  [[nodiscard]] std::uint16_t vid(int i) const {
-    return static_cast<std::uint16_t>(opts.detour_vid_base + i);
+  [[nodiscard]] static std::uint16_t vid(int i) {
+    return static_cast<std::uint16_t>(kDetourVidBase + i);
   }
 
   void install(openflow::OpenFlowSwitch& sw, FlowSpec spec, bool backup) {
@@ -46,7 +67,7 @@ struct Compile {
     FlowSpec spec;
     spec.match.with_dl_dst(mac);
     spec.actions = {OutputAction::to(out)};
-    spec.priority = opts.primary_priority;
+    spec.priority = kPrimaryPriority;
     spec.guard_port = out;
     install(sw, std::move(spec), /*backup=*/false);
   }
@@ -80,23 +101,19 @@ struct Compile {
 
 }  // namespace
 
-CompileSummary compile_failover(topo::FatTreeTopology& topo,
-                                const CompilerOptions& options) {
+CompileSummary compile_failover(topo::FatTreeTopology& topo) {
   const int k = topo.options().k;
   const int h = k / 2;
-  const int H = options.max_detour_hops;
-  NETCO_ASSERT_MSG(H >= 2, "detour budget too small to take a single hop");
+  const int H = kMaxDetourHops;
   // Longest chains: k-1 sibling pods at a core (untagged), and the same
   // plus one for the tagged fallbacks — neither may wrap past priority 0
   // or cross the primary priority.
-  NETCO_ASSERT_MSG(options.backup_priority < options.primary_priority &&
-                       options.backup_priority >= static_cast<std::uint16_t>(k),
-                   "untagged backup chain would cross priority 0 or primary");
-  NETCO_ASSERT_MSG(options.detour_priority >
-                       options.primary_priority + static_cast<std::uint16_t>(k),
+  NETCO_ASSERT_MSG(kBackupPriority >= k,
+                   "untagged backup chain would cross priority 0");
+  NETCO_ASSERT_MSG(kDetourPriority > kPrimaryPriority + k,
                    "tagged detour chain would cross the primary priority");
 
-  Compile c{topo, options, {}, topo.simulator().now()};
+  Compile c{topo, {}, topo.simulator().now()};
   const auto& combine = topo.options().combine_agg;
 
   for (int pm = 0; pm < k; ++pm) {
@@ -115,7 +132,7 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo,
               const auto out = static_cast<device::PortIndex>(im);
               c.guard_primary(sw, mac, out);
               for (int i = 0; i < H; ++i) {
-                c.detour(sw, mac, i, options.detour_priority,
+                c.detour(sw, mac, i, kDetourPriority,
                          {StripVlanAction{}, OutputAction::to(out)}, out);
               }
               continue;
@@ -128,7 +145,7 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo,
               const auto out = static_cast<device::PortIndex>(h + alt);
               c.backup_untagged(
                   sw, mac,
-                  static_cast<std::uint16_t>(options.backup_priority -
+                  static_cast<std::uint16_t>(kBackupPriority -
                                              (alt - 1)),
                   {OutputAction::to(out)}, out);
             }
@@ -142,7 +159,7 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo,
                   const auto out =
                       static_cast<device::PortIndex>(h + (j + alt) % h);
                   c.detour(sw, mac, i,
-                           static_cast<std::uint16_t>(options.detour_priority -
+                           static_cast<std::uint16_t>(kDetourPriority -
                                                       (alt - 1)),
                            {SetVlanVidAction{c.vid(i + 1)},
                             OutputAction::to(out)},
@@ -168,20 +185,20 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo,
                 const auto out = topo.agg_port_to_edge((em + alt) % h);
                 c.backup_untagged(
                     *agg, mac,
-                    static_cast<std::uint16_t>(options.backup_priority -
+                    static_cast<std::uint16_t>(kBackupPriority -
                                                (alt - 1)),
                     {SetVlanVidAction{c.vid(0)}, OutputAction::to(out)}, out);
               }
               // Tagged delivery (all budget steps — delivery is free) and
               // tagged bounce alternates when the down-link is dead.
               for (int i = 0; i < H; ++i) {
-                c.detour(*agg, mac, i, options.detour_priority,
+                c.detour(*agg, mac, i, kDetourPriority,
                          {StripVlanAction{}, OutputAction::to(down)}, down);
                 if (i + 1 >= H) continue;
                 for (int alt = 1; alt < h; ++alt) {
                   const auto out = topo.agg_port_to_edge((em + alt) % h);
                   c.detour(*agg, mac, i,
-                           static_cast<std::uint16_t>(options.detour_priority -
+                           static_cast<std::uint16_t>(kDetourPriority -
                                                       alt),
                            {SetVlanVidAction{c.vid(i + 1)},
                             OutputAction::to(out)},
@@ -196,7 +213,7 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo,
                 const auto out = topo.agg_port_to_core(alt);
                 c.backup_untagged(
                     *agg, mac,
-                    static_cast<std::uint16_t>(options.backup_priority -
+                    static_cast<std::uint16_t>(kBackupPriority -
                                                (alt - 1)),
                     {OutputAction::to(out)}, out);
               }
@@ -210,7 +227,7 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo,
                     const auto out = topo.agg_port_to_edge(e2);
                     c.detour(*agg, mac, i,
                              static_cast<std::uint16_t>(
-                                 options.detour_priority - e2),
+                                 kDetourPriority - e2),
                              {SetVlanVidAction{c.vid(i + 1)},
                               OutputAction::to(out)},
                              out, in);
@@ -224,7 +241,7 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo,
                     const auto out = topo.agg_port_to_core(s);
                     c.detour(*agg, mac, i,
                              static_cast<std::uint16_t>(
-                                 options.detour_priority - s),
+                                 kDetourPriority - s),
                              {SetVlanVidAction{c.vid(i + 1)},
                               OutputAction::to(out)},
                              out, in);
@@ -262,7 +279,7 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo,
             const auto out = topo.core_port_to_pod(cix, sibs[t]);
             c.backup_untagged(
                 sw, mac,
-                static_cast<std::uint16_t>(options.backup_priority - t),
+                static_cast<std::uint16_t>(kBackupPriority - t),
                 {SetVlanVidAction{c.vid(0)}, OutputAction::to(out)}, out);
           }
           for (int i = 0; i + 1 < H; ++i) {
@@ -270,13 +287,13 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo,
             // packet to this core — descend toward the home pod,
             // consuming one budget unit (this is what bounds transit
             // through the combiner, whose replicas never rewrite VIDs).
-            c.detour(sw, mac, i, options.detour_priority,
+            c.detour(sw, mac, i, kDetourPriority,
                      {SetVlanVidAction{c.vid(i + 1)}, OutputAction::to(down)},
                      down);
             for (std::size_t t = 0; t < sibs.size(); ++t) {
               const auto out = topo.core_port_to_pod(cix, sibs[t]);
               c.detour(sw, mac, i,
-                       static_cast<std::uint16_t>(options.detour_priority - 1 -
+                       static_cast<std::uint16_t>(kDetourPriority - 1 -
                                                   t),
                        {SetVlanVidAction{c.vid(i + 1)}, OutputAction::to(out)},
                        out);

@@ -20,10 +20,10 @@
 //    a *different* aggregation index (core groups are partitioned per
 //    index), which requires descending to an edge and re-ascending. Those
 //    detour packets are VLAN-tagged, and the tag's VID encodes a hop
-//    budget: V(i) = detour_vid_base + i, each detour hop rewrites to
-//    V(i+1), and no rule exists at V(max_detour_hops) — a packet that
-//    exhausts its budget misses the table and is dropped, which is the
-//    loop breaker. The home edge strips the tag before host delivery.
+//    budget: V(i) = 0xF00 + i, each detour hop rewrites to V(i+1), and
+//    no rule exists at V(6) — a packet that exhausts its budget of 6
+//    misses the table and is dropped, which is the loop breaker. The
+//    home edge strips the tag before host delivery.
 //
 // The compiler re-installs the primary routes with liveness guards (the
 // FlowTable replaces strictly-equal matches in place), so primary rules
@@ -39,23 +39,6 @@
 
 namespace netco::failover {
 
-struct CompilerOptions {
-  /// First VID of the detour-budget window [base, base + max_detour_hops).
-  std::uint16_t detour_vid_base = 0xF00;
-  /// Detour hop budget H: a tagged packet is rewritten at most H-1 times
-  /// before it must reach (and be stripped at) its home edge. The longest
-  /// single-failure detour in a fat-tree consumes 5 budget units.
-  int max_detour_hops = 6;
-  /// Priority of the (guarded) primary routes — must match what
-  /// controller::install_mac_route used, so the re-install replaces them.
-  std::uint16_t primary_priority = 10;
-  /// Untagged backup chains descend from here (must be < primary).
-  std::uint16_t backup_priority = 9;
-  /// Tagged detour rules descend from here (must be > primary so tagged
-  /// packets never fall through to an untagged MAC route mid-detour).
-  std::uint16_t detour_priority = 40;
-};
-
 struct CompileSummary {
   std::size_t rules_installed = 0;   ///< backup/detour rules added
   std::size_t primaries_guarded = 0; ///< primary routes re-installed guarded
@@ -67,7 +50,6 @@ struct CompileSummary {
 /// Idempotent: re-running replaces the same rules. The wrapped combiner
 /// position is left untouched (its replicas forward by destination MAC,
 /// which carries tagged detour packets unchanged).
-CompileSummary compile_failover(topo::FatTreeTopology& topo,
-                                const CompilerOptions& options = {});
+CompileSummary compile_failover(topo::FatTreeTopology& topo);
 
 }  // namespace netco::failover

@@ -10,9 +10,8 @@
 namespace netco::faultinject {
 
 FabricFaultInjector::FabricFaultInjector(topo::FatTreeTopology& topo,
-                                         FaultPlan plan,
-                                         FabricInjectorOptions options)
-    : topo_(topo), plan_(std::move(plan)), options_(options) {}
+                                         FaultPlan plan)
+    : topo_(topo), plan_(std::move(plan)) {}
 
 void FabricFaultInjector::arm() {
   for (const FaultEvent& event : plan_.events) {
@@ -39,9 +38,9 @@ void FabricFaultInjector::set_wire(const topo::FabricLink& wire, bool down) {
     if (sid < 0) return;  // host endpoint: no flow table to reroute
     openflow::OpenFlowSwitch* sw = topo_.switch_by_sid(sid);
     if (sw == nullptr) return;  // wrapped position: combiner-managed
-    topo_.simulator().schedule_after(options_.keepalive, [sw, port, down] {
-      sw->set_port_live(port, !down);
-    });
+    topo_.simulator().schedule_after(
+        resilience::kSwitchKeepalive,
+        [sw, port, down] { sw->set_port_live(port, !down); });
   };
   flip(wire.a_sid, wire.a_port);
   flip(wire.b_sid, wire.b_port);

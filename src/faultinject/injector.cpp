@@ -36,7 +36,6 @@ void FaultInjector::set_replica_links_down(int replica, bool down) {
 }
 
 void FaultInjector::apply(const FaultEvent& event) {
-  ++applied_;
   core::CombinerInstance& combiner = topo_.combiner();
   const auto for_each_link = [&](auto&& fn) {
     for (std::size_t i = 0; i < combiner.edge_replica_link.size(); ++i) {
@@ -112,7 +111,7 @@ void FaultInjector::apply(const FaultEvent& event) {
         NETCO_LOG_INFO("faultinject",
                        "{} skipped: no resilience manager wired up",
                        to_string(event.kind));
-        break;
+        return;
       }
       const auto recover = sim::Duration::nanoseconds(event.duration_ns);
       switch (event.kind) {
@@ -138,42 +137,28 @@ void FaultInjector::apply(const FaultEvent& event) {
       }
       break;
     }
-    // Control-plane attacks: a lying replica rewrites the RIP announcements
-    // flowing through it (and, for blackhole, swallows the data it attracts).
-    case FaultKind::kRoutePoison:
-    case FaultKind::kMetricInflate:
-    case FaultKind::kBlackholeAd: {
-      auto* replica = combiner.replicas[static_cast<std::size_t>(
-          event.replica)];
-      if (event.kind == FaultKind::kRoutePoison) {
-        interceptors_.push_back(
-            std::make_unique<adversary::RoutePoisonBehavior>(
-                adversary::match_all()));
-      } else if (event.kind == FaultKind::kMetricInflate) {
-        interceptors_.push_back(
-            std::make_unique<adversary::MetricInflateBehavior>(
-                adversary::match_all()));
-      } else {
-        interceptors_.push_back(
-            std::make_unique<adversary::BlackholeAdBehavior>(
-                adversary::match_all()));
-      }
-      replica->set_interceptor(interceptors_.back().get());
-      break;
-    }
-    // Fabric faults address fat-tree switches, not the combiner circuit;
-    // they belong to FabricFaultInjector (fabric_injector.h).
+    // Fabric faults address fat-tree switches, and routing faults the
+    // router position of the convergence diamond, not this circuit; they
+    // belong to FabricFaultInjector (fabric_injector.h) and the
+    // convergence harness (scenario/convergence.h).
     case FaultKind::kFabricLinkCut:
     case FaultKind::kFabricLinkRestore:
     case FaultKind::kSwitchKill:
     case FaultKind::kSwitchRestart:
+    case FaultKind::kRoutePoison:
+    case FaultKind::kMetricInflate:
+    case FaultKind::kBlackholeAd:
       NETCO_LOG_INFO("faultinject",
-                     "{} skipped: fabric fault on a combiner-circuit injector",
+                     "{} skipped: not a combiner-circuit fault",
                      to_string(event.kind));
-      break;
+      return;
     case FaultKind::kCacheSqueeze:
     case FaultKind::kCacheRestore: {
-      if (combiner.compare == nullptr) break;
+      if (combiner.compare == nullptr) {
+        NETCO_LOG_INFO("faultinject", "{} skipped: no compare on this circuit",
+                       to_string(event.kind));
+        return;
+      }
       const sim::TimePoint now = topo_.simulator().now();
       for (std::size_t i = 0; i < combiner.edges.size(); ++i) {
         if (event.edge >= 0 && static_cast<std::size_t>(event.edge) != i) {
@@ -191,6 +176,7 @@ void FaultInjector::apply(const FaultEvent& event) {
       break;
     }
   }
+  ++applied_;
   NETCO_LOG_DEBUG("faultinject", "applied {} replica={} edge={}",
                   to_string(event.kind), event.replica, event.edge);
 }

@@ -33,14 +33,16 @@ class FaultInjector {
 
   /// Wires up the resilience manager the trusted-component fault kinds
   /// (compare crash/hang, hub crash, heartbeat loss) delegate to. Without
-  /// one, those events are counted but skipped with a log line. Must be
-  /// set before the simulation reaches the first such event; the manager
-  /// must outlive the run.
+  /// one, those events are skipped with a log line. Must be set before the
+  /// simulation reaches the first such event; the manager must outlive
+  /// the run.
   void set_resilience(resilience::ResilienceManager* manager) noexcept {
     resilience_ = manager;
   }
 
-  /// Events applied so far.
+  /// Events applied so far. Events the injector skips (fabric and routing
+  /// kinds, trusted-component kinds without a manager, cache kinds without
+  /// a compare) are not counted.
   [[nodiscard]] std::size_t applied() const noexcept { return applied_; }
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }

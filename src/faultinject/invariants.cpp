@@ -9,6 +9,8 @@ namespace netco::faultinject {
 
 namespace {
 constexpr std::size_t kMaxDetails = 32;
+/// Window of the at-most-once egress and reroute-loop checks.
+constexpr std::int64_t kDuplicateWindowNs = 50'000'000;  // 50 ms
 }  // namespace
 
 void InvariantReport::note(std::string detail) {
@@ -164,7 +166,7 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
         // time only if no newer release overwrote it.
         while (!release_log_.empty() &&
                record.at_ns - std::get<0>(release_log_.front()) >
-                   config_.duplicate_window_ns) {
+                   kDuplicateWindowNs) {
           const auto& [ns, gid, id] = release_log_.front();
           auto& stale = last_release_[gid];
           const auto iit = stale.find(id);
@@ -175,7 +177,7 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
         auto& per_group = last_release_[group.id];
         const auto it = per_group.find(record.packet_id);
         if (it != per_group.end() &&
-            record.at_ns - it->second <= config_.duplicate_window_ns) {
+            record.at_ns - it->second <= kDuplicateWindowNs) {
           ++duplicates_;
           char buf[160];
           std::snprintf(
@@ -201,7 +203,7 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
       const EgressGroup& group = egress_group(record.component);
       while (!release_log_.empty() &&
              record.at_ns - std::get<0>(release_log_.front()) >
-                 config_.duplicate_window_ns) {
+                 kDuplicateWindowNs) {
         const auto& [ns, gid, id] = release_log_.front();
         auto& stale = last_release_[gid];
         const auto iit = stale.find(id);
@@ -212,7 +214,7 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
       auto& per_group = last_release_[group.id];
       const auto it = per_group.find(record.packet_id);
       if (it != per_group.end() &&
-          record.at_ns - it->second <= config_.duplicate_window_ns) {
+          record.at_ns - it->second <= kDuplicateWindowNs) {
         ++duplicates_;
         char buf[160];
         std::snprintf(

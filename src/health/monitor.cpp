@@ -4,6 +4,16 @@
 
 namespace netco::health {
 
+namespace {
+
+/// EWMA smoothing factor: score = (1-alpha)·score + alpha·weight.
+constexpr double kAlpha = 0.15;
+/// Per-verdict deviation weights (matched weighs 0).
+constexpr double kWeightMissed = 0.7;
+constexpr double kWeightDivergent = 1.0;
+
+}  // namespace
+
 const char* to_string(ReplicaState state) noexcept {
   switch (state) {
     case ReplicaState::kLive: return "live";
@@ -52,10 +62,8 @@ void HealthMonitor::on_verdict(const core::ReplicaVerdict& verdict) {
   bool saturating = false;
   switch (verdict.kind) {
     case core::VerdictKind::kMatched: weight = 0.0; break;
-    case core::VerdictKind::kMissed: weight = config_.weight_missed; break;
-    case core::VerdictKind::kDivergent:
-      weight = config_.weight_divergent;
-      break;
+    case core::VerdictKind::kMissed: weight = kWeightMissed; break;
+    case core::VerdictKind::kDivergent: weight = kWeightDivergent; break;
     case core::VerdictKind::kFloodFlagged:
     case core::VerdictKind::kInactive:
       saturating = true;
@@ -68,7 +76,7 @@ void HealthMonitor::on_verdict(const core::ReplicaVerdict& verdict) {
     r.score = 1.0;
     if (r.verdicts < config_.min_verdicts) r.verdicts = config_.min_verdicts;
   } else {
-    r.score = (1.0 - config_.alpha) * r.score + config_.alpha * weight;
+    r.score = (1.0 - kAlpha) * r.score + kAlpha * weight;
     ++r.verdicts;
   }
 
@@ -82,7 +90,7 @@ void HealthMonitor::on_verdict(const core::ReplicaVerdict& verdict) {
       r.probe_matches = 0;
     }
     if (r.probe_matches >= config_.readmit_probe_matches &&
-        r.score <= config_.readmit_threshold) {
+        r.score <= HealthConfig::kReadmitThreshold) {
       r.state = ReplicaState::kLive;
       r.probe_matches = 0;
       r.last_transition = verdict.at;
@@ -95,7 +103,7 @@ void HealthMonitor::on_verdict(const core::ReplicaVerdict& verdict) {
   }
 
   if (r.verdicts < config_.min_verdicts ||
-      r.score < config_.quarantine_threshold) {
+      r.score < HealthConfig::kQuarantineThreshold) {
     return;
   }
   // Floor: quarantining the last min_live replicas trades a partial fault

@@ -10,9 +10,9 @@
 //
 // State machine per replica:
 //
-//             score ≥ quarantine_threshold            probe matches +
+//            score ≥ kQuarantineThreshold             probe matches +
 //            (after ≥ min_verdicts, while              score decays
-//             more than min_live stay live)          ≤ readmit_threshold
+//             more than min_live stay live)          ≤ kReadmitThreshold
 //   kLive ──────────────────────────────▶ kQuarantined ─────────▶ kLive
 //     │                                        │
 //     │   max_quarantines prior round-trips    │ (stays quarantined while
@@ -54,20 +54,16 @@ struct HealthConfig {
   /// deployments stay bit-identical.
   bool enabled = false;
 
-  /// EWMA smoothing factor: score = (1-alpha)·score + alpha·weight.
-  double alpha = 0.15;
   /// Score at/above which a live replica is quarantined.
-  double quarantine_threshold = 0.6;
+  static constexpr double kQuarantineThreshold = 0.6;
   /// Score at/below which a quarantined replica may be readmitted.
-  double readmit_threshold = 0.2;
+  static constexpr double kReadmitThreshold = 0.2;
+
   /// Verdicts a replica must accumulate before the quarantine threshold is
   /// consulted — a cold-start guard so one early wild verdict cannot
   /// quarantine a healthy replica. The saturating signals (flood-flagged,
   /// inactive) bypass the guard: the compare already windowed them.
   std::uint64_t min_verdicts = 16;
-  /// Per-verdict deviation weights (matched weighs 0).
-  double weight_missed = 0.7;
-  double weight_divergent = 1.0;
 
   /// Consecutive matched probe copies required (on top of the score
   /// condition) before a quarantined replica is readmitted.
@@ -77,11 +73,6 @@ struct HealthConfig {
   /// Never quarantine below this many live replicas — an entirely masked
   /// circuit would be a self-inflicted outage worse than the fault.
   int min_live = 2;
-
-  /// Probation probe cadence (QuarantineManager): every probe_period the
-  /// fan-out opens to quarantined replicas for probe_window.
-  sim::Duration probe_period = sim::Duration::milliseconds(20);
-  sim::Duration probe_window = sim::Duration::milliseconds(4);
 };
 
 /// One decision the monitor wants actuated.

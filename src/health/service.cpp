@@ -4,14 +4,21 @@
 #include <cstdlib>
 
 #include "common/assert.h"
-#include "netco/hub.h"
 
 namespace netco::health {
 
+namespace {
+
+/// Probation probe cadence: every kProbePeriod the fan-out opens to
+/// quarantined replicas for kProbeWindow.
+constexpr sim::Duration kProbePeriod = sim::Duration::milliseconds(20);
+constexpr sim::Duration kProbeWindow = sim::Duration::milliseconds(4);
+
+}  // namespace
+
 QuarantineManager::QuarantineManager(sim::Simulator& simulator,
-                                     core::CombinerInstance& combiner,
-                                     HealthConfig config)
-    : simulator_(simulator), combiner_(combiner), config_(config) {}
+                                     core::CombinerInstance& combiner)
+    : simulator_(simulator), combiner_(combiner) {}
 
 void QuarantineManager::install_fanout(bool probe_open) {
   const int k = static_cast<int>(combiner_.replicas.size());
@@ -74,8 +81,7 @@ void QuarantineManager::ban(int replica) {
 void QuarantineManager::arm_probe_cycle() {
   if (cycle_armed_) return;
   cycle_armed_ = true;
-  simulator_.schedule_after(config_.probe_period,
-                            [this] { open_probe_window(); });
+  simulator_.schedule_after(kProbePeriod, [this] { open_probe_window(); });
 }
 
 void QuarantineManager::open_probe_window() {
@@ -87,10 +93,8 @@ void QuarantineManager::open_probe_window() {
   }
   ++probe_windows_;
   install_fanout(true);
-  simulator_.schedule_after(config_.probe_window,
-                            [this] { install_fanout(false); });
-  simulator_.schedule_after(config_.probe_period,
-                            [this] { open_probe_window(); });
+  simulator_.schedule_after(kProbeWindow, [this] { install_fanout(false); });
+  simulator_.schedule_after(kProbePeriod, [this] { open_probe_window(); });
 }
 
 HealthService::HealthService(sim::Simulator& simulator,
@@ -99,7 +103,7 @@ HealthService::HealthService(sim::Simulator& simulator,
     : simulator_(simulator),
       combiner_(combiner),
       monitor_(config, static_cast<int>(combiner.replicas.size())),
-      manager_(simulator, combiner, config),
+      manager_(simulator, combiner),
       obs_(&obs::global()),
       verdict_counter_(&obs_->metrics.counter("health.verdicts")),
       quarantine_counter_(&obs_->metrics.counter("health.quarantines")),

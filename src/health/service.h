@@ -12,9 +12,9 @@
 //    majority over the remaining live replicas, falling back to
 //    first-copy detection mode at 2;
 //
-//  * probation probes — while anything is quarantined, every probe_period
-//    the fan-out opens to quarantined (not banned) replicas for
-//    probe_window: a sampled trickle whose copies the compare still
+//  * probation probes — while anything is quarantined, every 20 ms the
+//    fan-out opens to quarantined (not banned) replicas for 4 ms: a
+//    sampled trickle whose copies the compare still
 //    scores (live=false verdicts) but never counts toward quorums;
 //
 //  * readmit / ban — the inverse rewrite, or the permanent one.
@@ -43,7 +43,7 @@ namespace netco::health {
 class QuarantineManager {
  public:
   QuarantineManager(sim::Simulator& simulator,
-                    core::CombinerInstance& combiner, HealthConfig config);
+                    core::CombinerInstance& combiner);
 
   void quarantine(int replica);
   void readmit(int replica);
@@ -73,7 +73,6 @@ class QuarantineManager {
 
   sim::Simulator& simulator_;
   core::CombinerInstance& combiner_;
-  HealthConfig config_;
   std::uint64_t quarantined_mask_ = 0;  ///< includes banned replicas
   std::uint64_t banned_mask_ = 0;
   bool cycle_armed_ = false;

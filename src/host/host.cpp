@@ -7,6 +7,14 @@
 
 namespace netco::host {
 
+namespace {
+
+/// Per-byte part of the receive cost (HostProfile::rx_cost is the fixed
+/// part).
+constexpr double kRxNsPerByte = 3.4;
+
+}  // namespace
+
 Host::Host(sim::Simulator& simulator, std::string name, net::MacAddress mac,
            net::Ipv4Address ip, HostProfile profile)
     : Node(simulator, std::move(name)), mac_(mac), ip_(ip), profile_(profile) {}
@@ -81,7 +89,7 @@ void Host::handle_packet(device::PortIndex /*in_port*/, net::Packet packet) {
   const auto rx_cost =
       profile_.rx_cost +
       sim::Duration::nanoseconds(static_cast<std::int64_t>(
-          profile_.rx_ns_per_byte * static_cast<double>(packet.size())));
+          kRxNsPerByte * static_cast<double>(packet.size())));
   cpu_submit(rx_cost, [this, p = std::move(packet)]() mutable {
     --rx_in_cpu_;
     ++stats_.rx_packets;
@@ -137,7 +145,7 @@ void Host::answer_echo(const net::ParsedPacket& parsed,
                           .id = parsed.icmp->id,
                           .seq = parsed.icmp->seq},
       packet.slice(parsed.payload_offset, payload_len));
-  cpu_submit(profile_.icmp_cost,
+  cpu_submit(HostProfile::kIcmpCost,
              [this, r = std::move(reply)]() mutable { transmit(std::move(r)); });
 }
 

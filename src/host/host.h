@@ -31,21 +31,19 @@ struct HostProfile {
   /// CPU time to generate + send one UDP datagram (sendto path): a fixed
   /// syscall cost plus a per-byte copy cost. At iperf's default 1470-byte
   /// payload this totals ~42 µs — the Table-I calibration point.
-  sim::Duration udp_tx_cost = sim::Duration::microseconds(30);
-  double udp_tx_ns_per_byte = 8.0;
-  /// CPU time to send one TCP data segment (TSO-style batching: cheaper).
-  sim::Duration tcp_tx_cost = sim::Duration::microseconds(25);
+  static constexpr sim::Duration kUdpTxCost = sim::Duration::microseconds(30);
+  static constexpr double kUdpTxNsPerByte = 8.0;
+  /// CPU time to turn an ICMP echo request into a reply, or to send one.
+  static constexpr sim::Duration kIcmpCost = sim::Duration::microseconds(5);
+
   /// CPU time to receive one data packet (softirq + socket delivery):
-  /// fixed + per-byte; ~15 µs at a full-size frame.
+  /// this fixed part plus 3.4 ns per byte; ~15 µs at a full-size frame.
   sim::Duration rx_cost = sim::Duration::microseconds(10);
-  double rx_ns_per_byte = 3.4;
   /// CPU time to generate one TCP ACK. Duplicated segments each trigger an
   /// immediate ACK (RFC 793/2018), so a Dup-scenario receiver pays this k
   /// times per segment — a TCP-only cost that UDP never sees, and part of
   /// why the paper's Dup TCP numbers trail the Central ones.
   sim::Duration ack_tx_cost = sim::Duration::microseconds(14);
-  /// CPU time to turn an ICMP echo request into a reply.
-  sim::Duration icmp_cost = sim::Duration::microseconds(5);
   /// Relative jitter on every CPU job: cost × U(1-jitter, 1+jitter).
   /// Real per-packet costs vary (caches, interrupts); without this the
   /// deterministic event loop locks TCP into knife-edge limit cycles.

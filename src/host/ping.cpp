@@ -8,6 +8,13 @@
 
 namespace netco::host {
 
+namespace {
+
+constexpr std::uint16_t kIcmpId = 1;
+constexpr std::size_t kPayloadBytes = 56;  ///< ping default
+
+}  // namespace
+
 IcmpPinger::IcmpPinger(Host& host, PingConfig config)
     : host_(host), config_(config) {
   host_.set_icmp_reply_handler(
@@ -33,7 +40,7 @@ void IcmpPinger::send_next() {
     return;
   }
   const auto seq = static_cast<std::uint16_t>(sent_++);
-  std::vector<std::byte> payload(config_.payload_bytes, std::byte{0xA5});
+  std::vector<std::byte> payload(kPayloadBytes, std::byte{0xA5});
   net::Packet request = net::build_icmp_echo(
       net::EthernetHeader{.dst = config_.dst_mac, .src = host_.mac()},
       std::nullopt,
@@ -41,12 +48,12 @@ void IcmpPinger::send_next() {
                       .dst = config_.dst_ip,
                       .identification = host_.next_ip_id()},
       net::IcmpEchoHeader{.type = net::kIcmpEchoRequest,
-                          .id = config_.icmp_id,
+                          .id = kIcmpId,
                           .seq = seq},
       payload);
   pending_[seq] = host_.simulator().now();
   ++outstanding_;
-  host_.cpu_submit(host_.profile().icmp_cost,
+  host_.cpu_submit(HostProfile::kIcmpCost,
                    [&host = host_, r = std::move(request)]() mutable {
                      host.transmit(std::move(r));
                    });
@@ -66,7 +73,7 @@ void IcmpPinger::send_next() {
 }
 
 void IcmpPinger::on_reply(const net::ParsedPacket& parsed) {
-  if (!parsed.icmp || parsed.icmp->id != config_.icmp_id) return;
+  if (!parsed.icmp || parsed.icmp->id != kIcmpId) return;
   const std::uint16_t seq = parsed.icmp->seq;
   const auto it = pending_.find(seq);
   if (it == pending_.end()) {

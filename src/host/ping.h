@@ -19,8 +19,6 @@ namespace netco::host {
 struct PingConfig {
   net::MacAddress dst_mac;
   net::Ipv4Address dst_ip;
-  std::uint16_t icmp_id = 1;
-  std::size_t payload_bytes = 56;  ///< ping default
   sim::Duration interval = sim::Duration::milliseconds(10);
   sim::Duration timeout = sim::Duration::seconds(1);
   int count = 50;  ///< echo cycles per sequence (paper: 50)

@@ -4,14 +4,17 @@
 #include <cmath>
 #include <vector>
 
-#include "common/assert.h"
-
 namespace netco::host {
 namespace {
 
 constexpr sim::Duration kMinRto = sim::Duration::milliseconds(200);
 constexpr sim::Duration kMaxRto = sim::Duration::seconds(60);
 constexpr sim::Duration kDelAckTimeout = sim::Duration::milliseconds(40);
+/// Maximum segment size.
+constexpr std::size_t kMss = 1460;
+/// CPU time to send one TCP data segment (TSO-style batching: cheaper than
+/// a UDP datagram's HostProfile::kUdpTxCost).
+constexpr sim::Duration kTxCost = sim::Duration::microseconds(25);
 
 /// Reconstructs a 64-bit sequence number from its 32-bit wire form, picking
 /// the value closest to `reference` (standard serial-number unwrap).
@@ -32,8 +35,7 @@ std::uint64_t unwrap_seq(std::uint64_t reference, std::uint32_t wire) noexcept {
 
 TcpSender::TcpSender(Host& host, TcpConfig config)
     : host_(host), config_(config) {
-  NETCO_ASSERT(config_.mss > 0);
-  cwnd_ = static_cast<double>(config_.init_cwnd_segments * config_.mss);
+  cwnd_ = static_cast<double>(config_.init_cwnd_segments * kMss);
   ssthresh_ = static_cast<double>(config_.rwnd);
   host_.bind_tcp(config_.local_port,
                  [this](const net::ParsedPacket& parsed, const net::Packet&) {
@@ -77,19 +79,19 @@ void TcpSender::try_send() {
   if (!running_ || tx_pending_ || in_recovery_) return;
   const auto window = std::min<std::uint64_t>(
       static_cast<std::uint64_t>(cwnd_), config_.rwnd);
-  if (flight_size() + config_.mss > window) return;
+  if (flight_size() + kMss > window) return;
 
   tx_pending_ = true;
   const std::uint64_t seq = snd_nxt_;
-  host_.cpu_submit(host_.profile().tcp_tx_cost,
+  host_.cpu_submit(kTxCost,
                    [this, seq, alive = std::weak_ptr<bool>(alive_)] {
     const auto guard = alive.lock();
     if (!guard || !*guard) return;  // sender died with the job queued
     tx_pending_ = false;
     if (!running_) return;
     emit_segment(seq, /*is_retransmission=*/false);
-    snd_nxt_ = seq + config_.mss;
-    if (flight_size() == config_.mss) arm_rto();  // first unacked data
+    snd_nxt_ = seq + kMss;
+    if (flight_size() == kMss) arm_rto();  // first unacked data
     try_send();
   });
 }
@@ -97,17 +99,17 @@ void TcpSender::try_send() {
 void TcpSender::emit_segment(std::uint64_t seq, bool is_retransmission) {
   ++stats_.segments_sent;
   if (is_retransmission) ++stats_.retransmissions;
-  snd_max_ = std::max(snd_max_, seq + config_.mss);
+  snd_max_ = std::max(snd_max_, seq + kMss);
 
   // RTT sampling: one outstanding sample; never time a retransmission.
   if (!is_retransmission && !rtt_sample_) {
-    rtt_sample_ = {seq + config_.mss, host_.simulator().now()};
+    rtt_sample_ = {seq + kMss, host_.simulator().now()};
   } else if (is_retransmission && rtt_sample_ &&
              seq < rtt_sample_->first) {
     rtt_sample_.reset();  // Karn's rule
   }
 
-  std::vector<std::byte> payload(config_.mss, std::byte{0});
+  std::vector<std::byte> payload(kMss, std::byte{0});
   net::TcpHeader hdr;
   hdr.src_port = config_.local_port;
   hdr.dst_port = config_.peer_port;
@@ -163,12 +165,12 @@ void TcpSender::on_ack(const net::ParsedPacket& parsed) {
         // Partial ACK: retransmit the next hole, deflate the window.
         emit_segment(snd_una_, /*is_retransmission=*/true);
         cwnd_ = std::max(cwnd_ - static_cast<double>(acked) +
-                             static_cast<double>(config_.mss),
-                         static_cast<double>(config_.mss));
+                             static_cast<double>(kMss),
+                         static_cast<double>(kMss));
       }
     } else {
       dup_acks_ = 0;
-      const auto mss = static_cast<double>(config_.mss);
+      const auto mss = static_cast<double>(kMss);
       if (cwnd_ < ssthresh_) {
         cwnd_ += std::min(static_cast<double>(acked), mss);  // slow start
       } else {
@@ -203,7 +205,7 @@ void TcpSender::enter_fast_retransmit() {
   ++stats_.fast_retransmits;
   in_recovery_ = true;
   recover_ = snd_nxt_;
-  const auto mss = static_cast<double>(config_.mss);
+  const auto mss = static_cast<double>(kMss);
   ssthresh_ = std::max(static_cast<double>(flight_size()) / 2.0, 2.0 * mss);
   cwnd_ = ssthresh_ + 3.0 * mss;
   emit_segment(snd_una_, /*is_retransmission=*/true);
@@ -213,12 +215,12 @@ void TcpSender::enter_fast_retransmit() {
 void TcpSender::on_rto() {
   if (!running_ || flight_size() == 0) return;
   ++stats_.rto_fires;
-  const auto mss = static_cast<double>(config_.mss);
+  const auto mss = static_cast<double>(kMss);
   ssthresh_ = std::max(static_cast<double>(flight_size()) / 2.0, 2.0 * mss);
   cwnd_ = mss;
   dup_acks_ = 0;
   in_recovery_ = false;
-  snd_nxt_ = snd_una_ + config_.mss;  // go-back-N restart from the hole
+  snd_nxt_ = snd_una_ + kMss;  // go-back-N restart from the hole
   ++rto_backoff_;
   emit_segment(snd_una_, /*is_retransmission=*/true);
   arm_rto();

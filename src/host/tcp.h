@@ -30,7 +30,6 @@ struct TcpConfig {
   net::Ipv4Address peer_ip;
   std::uint16_t local_port = 5001;
   std::uint16_t peer_port = 5001;
-  std::size_t mss = 1460;
   std::size_t rwnd = 262144;  ///< receive window honoured by the sender
   std::size_t init_cwnd_segments = 10;  ///< RFC 6928 initial window
 };

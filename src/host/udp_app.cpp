@@ -13,6 +13,7 @@ namespace {
 /// an overdriven sender from building an unbounded backlog (a real iperf
 /// client simply falls behind its -b target).
 constexpr std::size_t kTxBacklogLimit = 32;
+constexpr std::uint16_t kSrcPort = 40000;
 
 }  // namespace
 
@@ -71,14 +72,14 @@ void UdpSender::tick() {
       net::Ipv4Header{.src = host_.ip(),
                       .dst = config_.dst_ip,
                       .identification = host_.next_ip_id()},
-      net::UdpHeader{.src_port = config_.src_port, .dst_port = config_.dst_port},
+      net::UdpHeader{.src_port = kSrcPort, .dst_port = config_.dst_port},
       payload);
 
   ++pending_;
   const auto tx_cost =
-      host_.profile().udp_tx_cost +
+      host::HostProfile::kUdpTxCost +
       sim::Duration::nanoseconds(static_cast<std::int64_t>(
-          host_.profile().udp_tx_ns_per_byte *
+          host::HostProfile::kUdpTxNsPerByte *
           static_cast<double>(config_.payload_bytes)));
   host_.cpu_submit(tx_cost,
                    [this, alive = std::weak_ptr<bool>(alive_),

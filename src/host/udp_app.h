@@ -22,7 +22,6 @@ struct UdpSenderConfig {
   net::MacAddress dst_mac;
   net::Ipv4Address dst_ip;
   std::uint16_t dst_port = 5001;  ///< iperf default
-  std::uint16_t src_port = 40000;
   /// UDP payload bytes per datagram (iperf -l; default 1470).
   std::size_t payload_bytes = 1470;
   /// Target *payload* bit rate (iperf -b semantics).

@@ -40,7 +40,8 @@
 
 namespace netco::core {
 
-/// The trusted edge's rule layout, highest priority first.
+/// The trusted edge's rule layout, highest priority first. Below the punt
+/// come the dl_dst → neighbor routes at controller::kMacRoutePriority.
 inline constexpr std::uint16_t kHubPriority = 30;     ///< neighbor → replicas
 inline constexpr std::uint16_t kScreenPriority = 25;  ///< local dl_src → drop
 /// Degraded bypass of the compare (src/resilience): above the punt so
@@ -48,9 +49,20 @@ inline constexpr std::uint16_t kScreenPriority = 25;  ///< local dl_src → drop
 /// source MACs still drop.
 inline constexpr std::uint16_t kFailOpenPriority = 22;
 inline constexpr std::uint16_t kPuntPriority = 20;     ///< replica → compare
-inline constexpr std::uint16_t kMacRoutePriority = 10;  ///< dl_dst → neighbor
 /// Broadcast flood on the OpenFlow replicas (below their MAC routes).
 inline constexpr std::uint16_t kReplicaFloodPriority = 5;
+
+/// The trusted hub as flow rules on a trusted edge (§III: "the logic boils
+/// down to multiplying the packets, in a stateless manner"): every packet
+/// entering on `from` is output on each port in `to`, at kHubPriority.
+void install_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from,
+                       const std::vector<device::PortIndex>& to);
+
+/// Removes the fan-out rule install_hub_rules() placed for `from` — a hub
+/// crash. The hub is stateless, so a restart is exactly install_hub_rules()
+/// again: the switch's port and registry counters continue from where they
+/// were (counter continuity).
+void remove_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from);
 
 /// What the trusted edges do with the replicas' output.
 enum class EdgeMode {
@@ -88,19 +100,11 @@ struct CombinerOptions {
   /// Compare process personality: c_program() → Central*, pox() → POX*.
   controller::CostProfile compare_profile =
       controller::CostProfile::c_program();
-  /// Links between edges and replicas.
-  link::LinkConfig internal_link;
   EdgeMode mode = EdgeMode::kCompare;
   /// kDetect: fraction of packets escalated to the compare, in [0, 1].
   double detect_sample_rate = 0.05;
-  /// Vendor personalities for the replicas (cycled if fewer than k) —
-  /// the diversity assumption made concrete. Legacy routers take only the
-  /// processing delay.
-  std::vector<openflow::SwitchProfile> replica_profiles;
   /// How long a flood-flagged replica port stays blocked (zero = forever).
   sim::Duration block_duration = sim::Duration::zero();
-  /// Pipeline latency of the trusted edge switches (simple hardware).
-  sim::Duration edge_delay = sim::Duration::microseconds(5);
 };
 
 /// Handles to everything a built combiner consists of.
@@ -156,8 +160,14 @@ CombinerInstance build_combiner(device::Network& network,
                                 const std::vector<PortAttachment>& attachments,
                                 const std::string& name_prefix);
 
-/// Default replica vendor personalities used when options don't override:
-/// three distinct "vendors" with slightly different pipeline latencies.
+/// The replica vendor personalities, cycled over the k replicas (the
+/// diversity assumption made concrete): three distinct "vendors" with
+/// slightly different pipeline latencies. Legacy routers take only the
+/// processing delay.
 std::vector<openflow::SwitchProfile> default_replica_profiles();
+
+/// The trusted edge switch personality: simple hardware with a 5 µs
+/// pipeline. Every topology's trusted edges use it.
+openflow::SwitchProfile trusted_edge_profile();
 
 }  // namespace netco::core

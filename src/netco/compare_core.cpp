@@ -14,6 +14,10 @@ namespace {
 /// Distinct from the store's index salt so the election does not
 /// correlate with its collision pattern.
 constexpr std::uint64_t kSampleSalt = 0xFA57C0DE5ULL;
+/// A replica with weight >= this is "healthy": its first copy releases on
+/// the fast path, and the adaptive period stays wide only while all live
+/// replicas clear this bar.
+constexpr double kHealthyWeight = 0.75;
 }  // namespace
 
 const char* to_string(VerdictKind kind) noexcept {
@@ -217,7 +221,7 @@ std::uint32_t CompareCore::effective_period(sim::TimePoint now) const
     // their probe verdicts and do not hold the period down.
     if (flagged_block_[idx] || flagged_inactive_[idx]) return 1;
     if (((live_mask_ >> static_cast<unsigned>(r)) & 1ULL) != 0 &&
-        weights_[idx] < s.healthy_weight) {
+        weights_[idx] < kHealthyWeight) {
       return 1;
     }
   }
@@ -401,7 +405,7 @@ FastResult CompareCore::ingest_sampled(int replica, const net::Packet& packet,
   // reputation-scaled majority that hardens as replicas lose standing.
   const bool release_now =
       replica_live(replica) &&
-      (weight >= config_.sampling.healthy_weight ||
+      (weight >= kHealthyWeight ||
        store_.tally(slot) > live_weight_total() / 2.0);
   if (!release_now) {
     trace(obs::TraceEvent::kCompareIngest, packet, now, replica);

@@ -61,23 +61,25 @@ enum class ReleasePolicy : std::uint8_t {
 /// first copy from a healthy-weighted replica (or once the weighted tally
 /// crosses half the live weight). The period is adaptive: it collapses to
 /// 1 — full verification for every packet — the moment any live replica's
-/// health weight degrades below healthy_weight, a replica is flagged, or
-/// the core was just restored from a checkpoint. Strictly opt-in: with
-/// enabled == false the core is bit-identical to one built before the
-/// subsystem existed.
+/// health weight degrades below the healthy bar (0.75), a replica is
+/// flagged, or the core was just restored from a checkpoint. Strictly
+/// opt-in: with enabled == false the core is bit-identical to one built
+/// before the subsystem existed.
 struct CompareSampling {
   bool enabled = false;
   /// 1-in-period packets are escalated to the full compare while every
   /// live replica is healthy. 1 = sample everything (full verify).
   std::uint32_t period = 16;
-  /// A replica with weight >= this is "healthy": its first copy releases
-  /// on the fast path, and the adaptive period stays wide only while all
-  /// live replicas clear this bar.
-  double healthy_weight = 0.75;
   /// Per-replica singleton quota of the vote slots (same isolation as the
   /// entries' per_replica_quota). Their capacity is cache_capacity.
   std::size_t vote_quota = 1024;
 };
+
+/// CPU cost billed per entry evicted in a cleanup pass (cold scan + free
+/// in the prototype's C cache), by the out-of-band CompareService and the
+/// inband CompareMiddlebox alike.
+inline constexpr sim::Duration kCleanupCostPerEntry =
+    sim::Duration::nanoseconds(800);
 
 /// Compare element configuration.
 struct CompareConfig {

@@ -84,7 +84,7 @@ void CompareService::on_packet_in(controller::Controller& controller,
   // Bill any capacity-cleanup pass to the compare CPU: this stall is the
   // §V-B jitter mechanism (small packets fill the cache faster).
   if (state.core.last_cleanup_work() > 0) {
-    controller.charge_extra(state.config.cleanup_cost_per_entry *
+    controller.charge_extra(kCleanupCostPerEntry *
                             static_cast<std::int64_t>(
                                 state.core.last_cleanup_work()));
   }

@@ -68,9 +68,6 @@ class CompareService : public controller::App {
     /// Detection-only deployments (sampling, §IX): ingest and alarm but
     /// never packet-out a release — the data plane already forwarded.
     bool verify_only = false;
-    /// CPU cost billed per entry evicted in a cleanup pass (cold scan +
-    /// free in the prototype's C cache).
-    sim::Duration cleanup_cost_per_entry = sim::Duration::nanoseconds(800);
   };
 
   /// Registers the deployment config for a named edge switch. Must happen

@@ -6,6 +6,15 @@
 
 namespace netco::core {
 
+namespace {
+
+/// Per-byte processing cost and relative service-time jitter, as in
+/// controller::CostProfile::c_program().
+constexpr double kPerByteNs = 3.65;
+constexpr double kServiceJitter = 0.3;
+
+}  // namespace
+
 CompareMiddlebox::CompareMiddlebox(sim::Simulator& simulator, std::string name,
                                    MiddleboxConfig config)
     : Node(simulator, std::move(name)),
@@ -46,11 +55,9 @@ void CompareMiddlebox::service_next() {
   busy_ = true;
   const auto& [port, packet] = queue_.front();
   double cost_ns = static_cast<double>(config_.per_packet.ns()) +
-                   config_.per_byte_ns * static_cast<double>(packet.size());
-  if (config_.service_jitter > 0.0) {
-    cost_ns *= simulator().rng().uniform(1.0 - config_.service_jitter,
-                                         1.0 + config_.service_jitter);
-  }
+                   kPerByteNs * static_cast<double>(packet.size());
+  cost_ns *= simulator().rng().uniform(1.0 - kServiceJitter,
+                                       1.0 + kServiceJitter);
   simulator().schedule_after(
       sim::Duration::nanoseconds(static_cast<std::int64_t>(cost_ns)), [this] {
         auto [in_port, p] = std::move(queue_.front());
@@ -61,7 +68,7 @@ void CompareMiddlebox::service_next() {
         if (core_.last_cleanup_work() > 0) {
           // Model the cleanup stall by keeping the server busy longer.
           const auto stall =
-              config_.cleanup_cost_per_entry *
+              kCleanupCostPerEntry *
               static_cast<std::int64_t>(core_.last_cleanup_work());
           simulator().schedule_after(stall, [this] { service_next(); });
           if (released) {

@@ -22,16 +22,12 @@ namespace netco::core {
 /// Middlebox deployment configuration.
 struct MiddleboxConfig {
   CompareConfig compare;
-  /// Per-packet processing cost (fixed + per-byte), same personality as
-  /// the "C program" compare — it is the same code on the same CPU.
+  /// Fixed per-packet processing cost; the per-byte cost and the service
+  /// jitter are the "C program" compare's — it is the same code on the
+  /// same CPU.
   sim::Duration per_packet = sim::Duration::microseconds(12);
-  double per_byte_ns = 3.65;
-  /// Relative service-time jitter (see controller::CostProfile).
-  double service_jitter = 0.3;
   /// Ingress queue capacity in packets (tail drop).
   std::size_t queue_limit = 384;
-  /// CPU cost per entry evicted in a cleanup pass.
-  sim::Duration cleanup_cost_per_entry = sim::Duration::nanoseconds(800);
 };
 
 /// Middlebox counters (beyond the embedded CompareCore's).

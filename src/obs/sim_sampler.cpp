@@ -2,26 +2,25 @@
 
 namespace netco::obs {
 
-SimulatorSampler::SimulatorSampler(sim::Simulator& simulator,
-                                   sim::Duration period,
-                                   Observability* context)
+namespace {
+
+constexpr sim::Duration kPeriod = sim::Duration::milliseconds(1);
+
+}  // namespace
+
+SimulatorSampler::SimulatorSampler(sim::Simulator& simulator)
     : simulator_(simulator),
-      period_(period),
-      pending_depth_((context != nullptr ? *context : global())
-                         .metrics.histogram("sim.events_pending",
-                                            default_queue_depth_buckets())),
-      queue_depth_((context != nullptr ? *context : global())
-                       .metrics.histogram("sim.queue_size",
-                                          default_queue_depth_buckets())),
-      executed_((context != nullptr ? *context : global())
-                    .metrics.counter("sim.events_executed")),
-      sample_count_((context != nullptr ? *context : global())
-                        .metrics.counter("sim.samples")) {}
+      pending_depth_(global().metrics.histogram(
+          "sim.events_pending", default_queue_depth_buckets())),
+      queue_depth_(global().metrics.histogram("sim.queue_size",
+                                              default_queue_depth_buckets())),
+      executed_(global().metrics.counter("sim.events_executed")),
+      sample_count_(global().metrics.counter("sim.samples")) {}
 
 void SimulatorSampler::start() {
   stop();
   last_executed_ = simulator_.events_executed();
-  handle_ = simulator_.schedule_after(period_, [this] { tick(); });
+  handle_ = simulator_.schedule_after(kPeriod, [this] { tick(); });
 }
 
 void SimulatorSampler::stop() noexcept { handle_.cancel(); }
@@ -34,7 +33,7 @@ void SimulatorSampler::tick() {
   last_executed_ = executed;
   sample_count_.inc();
   ++samples_;
-  handle_ = simulator_.schedule_after(period_, [this] { tick(); });
+  handle_ = simulator_.schedule_after(kPeriod, [this] { tick(); });
 }
 
 }  // namespace netco::obs

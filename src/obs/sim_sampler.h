@@ -1,6 +1,6 @@
 // SimulatorSampler: periodic event-loop occupancy sampling.
 //
-// Records, every `period` of simulated time, the simulator's live event
+// Records, every millisecond of simulated time, the simulator's live event
 // count (events_pending) and raw queue occupancy (queue_size, which
 // includes cancelled tombstones awaiting lazy purge) into histograms, and
 // the number of events executed since the previous sample into a counter —
@@ -16,10 +16,8 @@ namespace netco::obs {
 
 class SimulatorSampler {
  public:
-  /// Samples into `context` (the global context by default).
-  explicit SimulatorSampler(sim::Simulator& simulator,
-                            sim::Duration period = sim::Duration::milliseconds(1),
-                            Observability* context = nullptr);
+  /// Samples into the calling thread's current context (obs::global()).
+  explicit SimulatorSampler(sim::Simulator& simulator);
 
   SimulatorSampler(const SimulatorSampler&) = delete;
   SimulatorSampler& operator=(const SimulatorSampler&) = delete;
@@ -39,7 +37,6 @@ class SimulatorSampler {
   void tick();
 
   sim::Simulator& simulator_;
-  sim::Duration period_;
   Histogram& pending_depth_;
   Histogram& queue_depth_;
   Counter& executed_;

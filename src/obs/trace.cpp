@@ -8,8 +8,6 @@ namespace netco::obs {
 
 const char* to_string(TraceEvent event) noexcept {
   switch (event) {
-    case TraceEvent::kHubIngress: return "hub.ingress";
-    case TraceEvent::kHubMerge: return "hub.merge";
     case TraceEvent::kReplicaForward: return "replica.forward";
     case TraceEvent::kCompareIngest: return "compare.ingest";
     case TraceEvent::kCompareRelease: return "compare.release";
@@ -87,12 +85,13 @@ std::string RingBufferSink::serialize() const {
   return out;
 }
 
-JsonlFileSink::JsonlFileSink(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "w");
+JsonlFileSink::JsonlFileSink(const std::string& path)
+    : file_(std::fopen(path.c_str(), "w")) {
+  NETCO_ASSERT_MSG(file_ != nullptr,
+                   ("trace sink: cannot open " + path).c_str());
 }
 
 JsonlFileSink::~JsonlFileSink() {
-  if (file_ == nullptr) return;
   // Flush before close so a failure (ENOSPC surfacing at the final
   // buffer drain) is distinguishable from a close error, and a cleanly
   // destructed sink deterministically has every record on disk.
@@ -103,7 +102,6 @@ JsonlFileSink::~JsonlFileSink() {
 }
 
 void JsonlFileSink::append(const TraceRecord& record) {
-  if (file_ == nullptr) return;
   const std::string line = to_json(record);
   const std::size_t wrote = std::fwrite(line.data(), 1, line.size(), file_);
   const bool ok = wrote == line.size() && std::fputc('\n', file_) != EOF;
@@ -112,7 +110,6 @@ void JsonlFileSink::append(const TraceRecord& record) {
 }
 
 void JsonlFileSink::flush() {
-  if (file_ == nullptr) return;
   NETCO_ASSERT_MSG(std::fflush(file_) == 0,
                    "trace sink: flush failed (disk full?)");
 }

@@ -1,19 +1,20 @@
 // Packet-lifecycle tracing (ROADMAP observability layer).
 //
-// Every trusted component emits structured records as a packet moves
-// through the combiner pipeline:
+// Components emit structured records as a packet moves through the
+// combiner pipeline:
 //
-//   hub.ingress → replica[i].forward → compare.{release, evict_timeout,
+//   replica[i].forward → compare.{ingest, release, evict_timeout,
 //   evict_capacity, evict_quota, duplicate, late, mismatch}
 //
 // Records are keyed by a *stable packet id* — the FNV-1a content hash of
 // the wire bytes — so the k copies a hub multiplies share one id and the
-// compare's verdict can be joined against the hub ingress that started the
-// lifecycle. Call sites pass the id precomputed via Packet::content_hash(),
-// which is memoized in the packet's shared COW payload buffer: one hash
-// per payload generation, no matter how many records a lifecycle emits. The simulator is bit-reproducible (same seed → identical
-// event order), so the serialized trace stream is itself a deterministic
-// artifact: the golden-trace tests byte-compare whole runs.
+// compare's verdict can be joined against every replica's forward of the
+// same packet. Call sites pass the id precomputed via
+// Packet::content_hash(), which is memoized in the packet's shared COW
+// payload buffer: one hash per payload generation, no matter how many
+// records a lifecycle emits. The simulator is bit-reproducible (same seed
+// → identical event order), so the serialized trace stream is itself a
+// deterministic artifact: the golden-trace tests byte-compare whole runs.
 //
 // Cost model: the Tracer's disabled path is a single pointer null-check —
 // no record construction, no string materialization, no sink virtual call.
@@ -28,8 +29,6 @@ namespace netco::obs {
 
 /// The lifecycle stages a packet can be traced through.
 enum class TraceEvent : std::uint8_t {
-  kHubIngress,           ///< trusted splitter multiplied an upstream packet
-  kHubMerge,             ///< trusted splitter merged a downstream packet
   kReplicaForward,       ///< an (untrusted) switch transmitted the packet
   kCompareIngest,        ///< compare received a copy from replica[i]
   kCompareRelease,       ///< terminal: quorum reached, one copy released
@@ -130,11 +129,12 @@ class RingBufferSink final : public TraceSink {
 
 /// JSONL file sink for benches (one canonical record per line).
 ///
-/// Write errors are loud: a short fwrite (disk full, closed pipe) aborts
-/// via NETCO_ASSERT instead of silently truncating the stream — a torn
-/// final record would otherwise surface later as a baffling golden-trace
-/// mismatch rather than an I/O error. Destruction flushes and verifies
-/// the flush, so a sink that destructs cleanly has every record on disk.
+/// I/O errors are loud: a path that cannot be opened, or a short fwrite
+/// (disk full, closed pipe), aborts via NETCO_ASSERT instead of silently
+/// dropping or truncating the stream — a missing or torn trace would
+/// otherwise surface later as a baffling golden-trace mismatch rather than
+/// an I/O error. Destruction flushes and verifies the flush, so a sink
+/// that destructs cleanly has every record on disk.
 class JsonlFileSink final : public TraceSink {
  public:
   explicit JsonlFileSink(const std::string& path);
@@ -148,8 +148,6 @@ class JsonlFileSink final : public TraceSink {
   /// Flushes buffered records to the OS; asserts on failure.
   void flush();
 
-  /// False when the file could not be opened (records are then dropped).
-  [[nodiscard]] bool ok() const noexcept { return file_ != nullptr; }
   [[nodiscard]] std::uint64_t lines_written() const noexcept {
     return lines_;
   }

@@ -5,7 +5,6 @@
 
 #include "common/assert.h"
 #include "common/log.h"
-#include "netco/hub.h"
 #include "resilience/checkpoint.h"
 
 namespace netco::resilience {
@@ -15,6 +14,17 @@ namespace {
 /// kFailStatic pre-installs *below* the edge layout's punt rule
 /// (core::kPuntPriority) — invisible until the punt rule is removed.
 constexpr std::uint16_t kFailStaticPriority = 15;
+
+/// How often every edge core is checkpointed.
+constexpr sim::Duration kCheckpointPeriod = sim::Duration::milliseconds(25);
+/// Ingress-mirror latency into the standby's shadow cores (models the
+/// port-mirror / second packet-in path).
+constexpr sim::Duration kMirrorLatency = sim::Duration::microseconds(20);
+/// Time from declare-dead to the standby being live (feeder rewiring);
+/// also the rewire latency of kFailOpenSingle.
+constexpr sim::Duration kPromoteLatency = sim::Duration::microseconds(200);
+/// The replica kFailOpenSingle / kFailStatic pass through.
+constexpr std::size_t kDesignatedReplica = 0;
 
 sim::Duration scaled(sim::Duration base, double factor) {
   return sim::Duration::nanoseconds(
@@ -35,9 +45,8 @@ const char* to_string(DegradedPolicy policy) noexcept {
 // --- StandbyCompare ----------------------------------------------------
 
 StandbyCompare::StandbyCompare(sim::Simulator& simulator,
-                               core::CombinerInstance& combiner,
-                               const ResilienceConfig& config)
-    : simulator_(simulator), combiner_(combiner), config_(config) {
+                               core::CombinerInstance& combiner)
+    : simulator_(simulator), combiner_(combiner) {
   NETCO_ASSERT(combiner_.compare != nullptr);
   combiner_.shadow_cores.clear();
   for (std::size_t i = 0; i < combiner_.edges.size(); ++i) {
@@ -85,7 +94,7 @@ void StandbyCompare::on_ingress(std::size_t edge_idx,
   if (it == shadow.replica_ports.end()) return;  // neighbor side, not a copy
   const int replica = it->second;
   simulator_.schedule_after(
-      config_.mirror_latency, [this, edge_idx, replica, p = packet]() mutable {
+      kMirrorLatency, [this, edge_idx, replica, p = packet]() mutable {
         deliver(edge_idx, replica, std::move(p));
       });
 }
@@ -152,7 +161,7 @@ ResilienceManager::ResilienceManager(sim::Simulator& simulator,
   checkpoint_text_.resize(combiner_.edges.size());
 
   if (config_.standby) {
-    standby_ = std::make_unique<StandbyCompare>(simulator_, combiner_, config_);
+    standby_ = std::make_unique<StandbyCompare>(simulator_, combiner_);
   } else if (config_.policy == DegradedPolicy::kFailStatic) {
     // Pre-install the static failover rules now, below the punt rule.
     // They carry no traffic until a declared outage removes the punt —
@@ -160,8 +169,7 @@ ResilienceManager::ResilienceManager(sim::Simulator& simulator,
     for (std::size_t i = 0; i < combiner_.edges.size(); ++i) {
       openflow::FlowSpec spec;
       spec.match.with_in_port(
-          combiner_.edge_replica_port[i]
-              [static_cast<std::size_t>(config_.designated_replica)]);
+          combiner_.edge_replica_port[i][kDesignatedReplica]);
       spec.actions = {
           openflow::OutputAction::to(combiner_.edge_neighbor_port[i])};
       spec.priority = kFailStaticPriority;
@@ -172,7 +180,7 @@ ResilienceManager::ResilienceManager(sim::Simulator& simulator,
   // Checkpoint 0: a crash before the first periodic round must still find
   // something to restore from.
   take_checkpoint();
-  simulator_.schedule_after(config_.checkpoint_period,
+  simulator_.schedule_after(kCheckpointPeriod,
                             [this] { checkpoint_tick(); });
   simulator_.schedule_after(config_.heartbeat_period,
                             [this] { heartbeat_tick(); });
@@ -211,7 +219,7 @@ void ResilienceManager::checkpoint_tick() {
       core::CompareService::ProcessState::kLive) {
     take_checkpoint();
   }
-  simulator_.schedule_after(config_.checkpoint_period,
+  simulator_.schedule_after(kCheckpointPeriod,
                             [this] { checkpoint_tick(); });
 }
 
@@ -251,7 +259,7 @@ void ResilienceManager::begin_outage() {
 
 void ResilienceManager::on_declared_dead() {
   if (standby_ != nullptr && !standby_->promoted()) {
-    simulator_.schedule_after(config_.promote_latency,
+    simulator_.schedule_after(kPromoteLatency,
                               [this] { do_promote(); });
   } else if (standby_ == nullptr) {
     enter_degraded();
@@ -366,13 +374,12 @@ void ResilienceManager::enter_degraded() {
     case DegradedPolicy::kFailOpenSingle:
       // After the rewire latency, the designated replica's traffic
       // bypasses the compare. Loudly: this path has no majority vote.
-      simulator_.schedule_after(config_.promote_latency, [this, epoch] {
+      simulator_.schedule_after(kPromoteLatency, [this, epoch] {
         if (!degraded_ || epoch != degraded_epoch_) return;
         for (std::size_t i = 0; i < combiner_.edges.size(); ++i) {
           openflow::FlowSpec spec;
           spec.match.with_in_port(
-              combiner_.edge_replica_port[i][static_cast<std::size_t>(
-                  config_.designated_replica)]);
+              combiner_.edge_replica_port[i][kDesignatedReplica]);
           spec.actions = {
               openflow::OutputAction::to(combiner_.edge_neighbor_port[i])};
           spec.priority = core::kFailOpenPriority;
@@ -380,20 +387,19 @@ void ResilienceManager::enter_degraded() {
         }
         NETCO_LOG_INFO("resilience",
                        "ALARM: fail-open — replica {} bypasses the compare",
-                       config_.designated_replica);
+                       kDesignatedReplica);
       });
       break;
     case DegradedPolicy::kFailStatic:
       // After the keepalive delay, remove the punt rule for the
       // designated port; traffic falls through to the pre-installed
       // static rules (the fail-standalone transition).
-      simulator_.schedule_after(config_.switch_keepalive, [this, epoch] {
+      simulator_.schedule_after(kSwitchKeepalive, [this, epoch] {
         if (!degraded_ || epoch != degraded_epoch_) return;
         for (std::size_t i = 0; i < combiner_.edges.size(); ++i) {
           openflow::Match match;
           match.with_in_port(
-              combiner_.edge_replica_port[i][static_cast<std::size_t>(
-                  config_.designated_replica)]);
+              combiner_.edge_replica_port[i][kDesignatedReplica]);
           combiner_.edges[i]->table().remove_strict(match, core::kPuntPriority);
         }
       });
@@ -409,8 +415,7 @@ void ResilienceManager::exit_degraded() {
 
   for (std::size_t i = 0; i < combiner_.edges.size(); ++i) {
     const device::PortIndex rp =
-        combiner_.edge_replica_port[i]
-            [static_cast<std::size_t>(config_.designated_replica)];
+        combiner_.edge_replica_port[i][kDesignatedReplica];
     switch (config_.policy) {
       case DegradedPolicy::kFailClosed:
         break;

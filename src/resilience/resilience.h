@@ -66,8 +66,6 @@ struct ResilienceConfig {
   bool enabled = false;
   /// Run a warm standby compare (shadow cores + promotion on failover).
   bool standby = false;
-  /// How often every edge core is checkpointed.
-  sim::Duration checkpoint_period = sim::Duration::milliseconds(25);
   /// Heartbeat probe spacing while the primary responds.
   sim::Duration heartbeat_period = sim::Duration::milliseconds(5);
   /// Consecutive missed beats before the primary is declared dead.
@@ -76,20 +74,18 @@ struct ResilienceConfig {
   /// false-positive guard: a briefly stalled process gets progressively
   /// more slack before the declare-dead threshold is reached.
   double backoff_factor = 2.0;
-  /// Ingress-mirror latency into the standby's shadow cores (models the
-  /// port-mirror / second packet-in path).
-  sim::Duration mirror_latency = sim::Duration::microseconds(20);
-  /// Time from declare-dead to the standby being live (feeder rewiring);
-  /// also the rewire latency of kFailOpenSingle.
-  sim::Duration promote_latency = sim::Duration::microseconds(200);
-  /// Degraded-mode policy when no standby exists.
+  /// Degraded-mode policy when no standby exists. kFailOpenSingle and
+  /// kFailStatic pass replica 0 through.
   DegradedPolicy policy = DegradedPolicy::kFailClosed;
-  /// The replica kFailOpenSingle / kFailStatic pass through.
-  int designated_replica = 0;
-  /// kFailStatic: how long the switches wait for their controller before
-  /// falling back to the static rules (OpenFlow fail-standalone analog).
-  sim::Duration switch_keepalive = sim::Duration::milliseconds(10);
 };
+
+/// How long a switch waits for its controller, or for a dead port's
+/// keepalive, before it acts alone: kFailStatic falls back to the static
+/// rules after it (OpenFlow fail-standalone analog), and the fabric
+/// injector marks a cut link's ports dead after it
+/// (faultinject/fabric_injector.h).
+inline constexpr sim::Duration kSwitchKeepalive =
+    sim::Duration::milliseconds(10);
 
 /// End-of-run resilience counters (all sim-deterministic).
 struct ResilienceSummary {
@@ -121,8 +117,7 @@ struct ResilienceSummary {
 /// simulation stops running (scheduled mirror deliveries capture `this`).
 class StandbyCompare {
  public:
-  StandbyCompare(sim::Simulator& simulator, core::CombinerInstance& combiner,
-                 const ResilienceConfig& config);
+  StandbyCompare(sim::Simulator& simulator, core::CombinerInstance& combiner);
   ~StandbyCompare();
 
   StandbyCompare(const StandbyCompare&) = delete;
@@ -154,7 +149,6 @@ class StandbyCompare {
 
   sim::Simulator& simulator_;
   core::CombinerInstance& combiner_;
-  ResilienceConfig config_;
   bool promoted_ = false;
   std::vector<std::unique_ptr<EdgeShadow>> shadows_;
 };

@@ -9,11 +9,26 @@
 
 namespace netco::routing {
 
+namespace {
+
+constexpr sim::Duration kUpdatePeriod = sim::Duration::milliseconds(200);
+/// A route not re-confirmed within this window is invalidated.
+constexpr sim::Duration kTimeout = sim::Duration::milliseconds(1000);
+/// An invalidated route is advertised at metric 16 for this long, then
+/// deleted.
+constexpr sim::Duration kGc = sim::Duration::milliseconds(400);
+/// Coalescing delay for triggered updates (RFC 2453 §3.10.1).
+constexpr sim::Duration kTriggeredDelay = sim::Duration::milliseconds(10);
+/// Timer wheel quantum (route timers are millisecond-scale).
+constexpr sim::Duration kWheelTick = sim::Duration::milliseconds(1);
+
+}  // namespace
+
 RipSpeaker::RipSpeaker(iproute::LegacyRouter& router, RipConfig config)
     : router_(router),
       config_(config),
       wheel_(router.datapath_simulator(),
-             sim::TimerWheelConfig{.tick = config.wheel_tick}),
+             sim::TimerWheelConfig{.tick = kWheelTick}),
       obs_(&obs::global()) {
   transport_ = [this](device::PortIndex port, net::Packet packet) {
     router_.raw_output(port, std::move(packet));
@@ -90,8 +105,8 @@ std::vector<RipRouteView> RipSpeaker::table() const {
 void RipSpeaker::on_periodic(void* ctx, std::uint64_t) {
   auto* self = static_cast<RipSpeaker*>(ctx);
   self->send_updates();
-  self->wheel_.schedule_after(self->config_.update_period,
-                              &RipSpeaker::on_periodic, self, 0);
+  self->wheel_.schedule_after(kUpdatePeriod, &RipSpeaker::on_periodic, self,
+                              0);
 }
 
 void RipSpeaker::on_triggered(void* ctx, std::uint64_t) {
@@ -276,8 +291,7 @@ void RipSpeaker::arm_timeout(std::uint32_t slot) {
   Route& route = routes_[slot];
   wheel_.cancel(route.timeout_timer);
   route.timeout_timer =
-      wheel_.schedule_after(config_.timeout, &RipSpeaker::on_timeout, this,
-                            slot);
+      wheel_.schedule_after(kTimeout, &RipSpeaker::on_timeout, this, slot);
 }
 
 void RipSpeaker::invalidate(std::uint32_t slot) {
@@ -286,7 +300,7 @@ void RipSpeaker::invalidate(std::uint32_t slot) {
   router_.remove_route(route.prefix, route.len);
   wheel_.cancel(route.gc_timer);
   route.gc_timer =
-      wheel_.schedule_after(config_.gc, &RipSpeaker::on_gc, this, slot);
+      wheel_.schedule_after(kGc, &RipSpeaker::on_gc, this, slot);
   note_change(route);
   schedule_triggered();
 }
@@ -304,8 +318,7 @@ void RipSpeaker::remove(std::uint32_t slot) {
 void RipSpeaker::schedule_triggered() {
   if (!started_ || triggered_pending_) return;
   triggered_pending_ = true;
-  wheel_.schedule_after(config_.triggered_delay, &RipSpeaker::on_triggered,
-                        this, 0);
+  wheel_.schedule_after(kTriggeredDelay, &RipSpeaker::on_triggered, this, 0);
 }
 
 void RipSpeaker::note_change(const Route& route) {

@@ -41,23 +41,16 @@ struct RipNeighbor {
   net::MacAddress mac;
 };
 
-/// Protocol timing. The defaults are simulation-scale (milliseconds where
-/// the RFC uses tens of seconds) so convergence experiments fit in a few
-/// simulated seconds; the ratios match the RFC (timeout = 5 × period).
+/// Per-speaker protocol timing. The protocol's own timers (rip.cpp) are
+/// simulation-scale — milliseconds where the RFC uses tens of seconds —
+/// so convergence experiments fit in a few simulated seconds; their
+/// ratios match the RFC (a 200 ms update period, a 1 s timeout = 5 ×
+/// period, a 400 ms garbage-collection hold and a 10 ms triggered-update
+/// coalescing delay).
 struct RipConfig {
-  sim::Duration update_period = sim::Duration::milliseconds(200);
-  /// A route not re-confirmed within this window is invalidated.
-  sim::Duration timeout = sim::Duration::milliseconds(1000);
-  /// An invalidated route is advertised at metric 16 for this long, then
-  /// deleted.
-  sim::Duration gc = sim::Duration::milliseconds(400);
-  /// Coalescing delay for triggered updates (RFC 2453 §3.10.1).
-  sim::Duration triggered_delay = sim::Duration::milliseconds(10);
   /// First periodic update fires this long after start() — harnesses
   /// stagger speakers so periodic updates never synchronize.
   sim::Duration first_update = sim::Duration::milliseconds(5);
-  /// Timer wheel quantum (route timers are millisecond-scale).
-  sim::Duration wheel_tick = sim::Duration::milliseconds(1);
 };
 
 /// Speaker counters.

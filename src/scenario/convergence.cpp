@@ -9,11 +9,13 @@
 #include "common/assert.h"
 #include "controller/static_routing.h"
 #include "device/network.h"
+#include "faultinject/fault_plan.h"
 #include "faultinject/invariants.h"
 #include "host/host.h"
 #include "iproute/legacy_router.h"
 #include "netco/combiner.h"
 #include "openflow/switch.h"
+#include "routing/rip.h"
 #include "scenario/circuit.h"
 
 namespace netco::scenario {
@@ -39,6 +41,15 @@ constexpr auto kNetCd = net::Ipv4Address::from_octets(10, 0, 3, 0);  // RC—RD
 constexpr auto kNetDb = net::Ipv4Address::from_octets(10, 0, 4, 0);  // RD—RB
 
 constexpr std::uint16_t kDataPort = 7001;
+
+/// Replicas inside the combiner at P.
+constexpr int kReplicas = 3;
+/// When the liars switch on (simulated time).
+constexpr sim::Duration kAttackStart = sim::Duration::zero();
+/// Table-check / goodput-sampling cadence.
+constexpr sim::Duration kWindow = sim::Duration::milliseconds(50);
+/// hA → hB probe period.
+constexpr sim::Duration kDataPeriod = sim::Duration::milliseconds(5);
 
 /// Benign ground-truth table entry; port < 0 = either side of a metric
 /// tie is correct (RC/RD reach the far stub at 3 via both neighbors).
@@ -67,11 +78,9 @@ class ConvergenceCircuit {
         sim_(options.seed),
         network_(sim_),
         checker_(faultinject::QuorumTraceChecker::Config{
-            .quorum = options.use_combiner ? options.k / 2 + 1 : 1,
-            .k = options.use_combiner ? options.k : 0}) {
-    NETCO_ASSERT(opts_.k >= 1);
+            .quorum = options.use_combiner ? kReplicas / 2 + 1 : 1,
+            .k = options.use_combiner ? kReplicas : 0}) {
     NETCO_ASSERT(opts_.liars >= 0);
-    NETCO_ASSERT(opts_.window > sim::Duration::zero());
     if (opts_.attack == RoutingAttack::kNone) opts_.liars = 0;
     build_topology();
     build_control_plane();
@@ -87,9 +96,9 @@ class ConvergenceCircuit {
       sim_.schedule_at(sim::TimePoint::from_ns(event.at_ns),
                        [this, &event] { apply_fault(event); });
     }
-    data_end_ = sim::TimePoint::origin() + opts_.horizon - opts_.window * 2;
+    data_end_ = sim::TimePoint::origin() + opts_.horizon - kWindow * 2;
     send_probe();
-    return sim::TimePoint::origin() + opts_.window;
+    return sim::TimePoint::origin() + kWindow;
   }
 
   sim::TimePoint on_window(sim::TimePoint committed) {
@@ -97,10 +106,10 @@ class ConvergenceCircuit {
                                    .sent = result_.data_sent,
                                    .delivered = delivered_.size(),
                                    .matched = tables_match()});
-    if (committed + opts_.window > sim::TimePoint::origin() + opts_.horizon) {
+    if (committed + kWindow > sim::TimePoint::origin() + opts_.horizon) {
       return sim::ShardCell::done_marker();
     }
-    return committed + opts_.window;
+    return committed + kWindow;
   }
 
   void finalize() {
@@ -202,7 +211,7 @@ class ConvergenceCircuit {
     // The router position P on the RA—RB hop: RA/RB port 1 either way.
     if (opts_.use_combiner) {
       core::CombinerOptions copts;
-      copts.k = opts_.k;
+      copts.k = kReplicas;
       combiner_ = core::build_combiner(
           network_, copts,
           {core::PortAttachment{.neighbor = &ra,
@@ -263,11 +272,10 @@ class ConvergenceCircuit {
   void build_control_plane() {
     const auto ip = net::Ipv4Address::from_octets;
     for (std::size_t i = 0; i < units_.size(); ++i) {
-      routing::RipConfig cfg = opts_.rip;
+      routing::RipConfig cfg;
       // Stagger the first periodic update so the four speakers never
       // announce in lockstep.
-      cfg.first_update =
-          opts_.rip.first_update +
+      cfg.first_update +=
           sim::Duration::milliseconds(7) * static_cast<std::int64_t>(i);
       units_[i].speaker =
           std::make_unique<routing::RipSpeaker>(*units_[i].router, cfg);
@@ -313,16 +321,13 @@ class ConvergenceCircuit {
   }
 
   void materialize_plan() {
-    plan_ = opts_.plan;
-    if (plan_.empty() && opts_.liars > 0) {
-      for (int i = 0; i < opts_.liars; ++i) {
-        faultinject::FaultEvent event;
-        event.at_ns = opts_.attack_start.ns();
-        event.kind = fault_kind(opts_.attack);
-        event.edge = -1;
-        event.replica = i;
-        plan_.events.push_back(event);
-      }
+    for (int i = 0; i < opts_.liars; ++i) {
+      faultinject::FaultEvent event;
+      event.at_ns = kAttackStart.ns();
+      event.kind = fault_kind(opts_.attack);
+      event.edge = -1;
+      event.replica = i;
+      plan_.events.push_back(event);
     }
     plan_.normalize();
   }
@@ -351,7 +356,7 @@ class ConvergenceCircuit {
     openflow::OpenFlowSwitch* target;
     if (opts_.use_combiner) {
       const auto idx = static_cast<std::size_t>(
-          std::clamp(event.replica, 0, opts_.k - 1));
+          std::clamp(event.replica, 0, kReplicas - 1));
       target = combiner_.replicas[idx];
     } else {
       target = unprotected_;
@@ -379,7 +384,7 @@ class ConvergenceCircuit {
         payload);
     ha_->transmit(std::move(probe));
     ++result_.data_sent;
-    sim_.schedule_after(opts_.data_period, [this] { send_probe(); });
+    sim_.schedule_after(kDataPeriod, [this] { send_probe(); });
   }
 
   [[nodiscard]] bool tables_match() const {

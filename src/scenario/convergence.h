@@ -25,8 +25,6 @@
 
 #include <cstdint>
 
-#include "faultinject/fault_plan.h"
-#include "routing/rip.h"
 #include "scenario/circuit.h"
 #include "sim/time.h"
 
@@ -42,36 +40,23 @@ enum class RoutingAttack : std::uint8_t {
 
 [[nodiscard]] const char* to_string(RoutingAttack attack) noexcept;
 
-/// Parameters of one convergence run.
+/// Parameters of one convergence run. The four speakers run the default
+/// RipConfig timing, the liars switch on at t = 0, the tables are checked
+/// every 50 ms, and hA sends hB one probe datagram every 5 ms until
+/// shortly before the horizon.
 struct ConvergenceOptions {
   std::uint64_t seed = 1;
 
-  /// true → P is a k-replica combiner circuit; false → one plain switch.
+  /// true → P is a k = 3 combiner circuit; false → one plain switch.
   bool use_combiner = true;
-  int k = 3;
 
   /// Lying replicas inside P (combiner mode: replicas 0..liars-1;
-  /// unprotected mode: any value > 0 corrupts the single switch).
+  /// unprotected mode: any value > 0 corrupts the single switch). Each
+  /// liar gets one routing.* event of the attack's kind.
   int liars = 0;
   RoutingAttack attack = RoutingAttack::kInflate;
-  /// When the liars switch on (simulated time).
-  sim::Duration attack_start = sim::Duration::zero();
-
-  /// Explicit fault schedule; when empty, one routing.* event per liar at
-  /// attack_start is synthesized from the two fields above.
-  faultinject::FaultPlan plan;
-
-  /// Protocol timing for all four speakers (first_update is staggered
-  /// per router on top of this base so periodic updates never sync).
-  routing::RipConfig rip;
 
   sim::Duration horizon = sim::Duration::seconds(3);
-  /// Table-check / goodput-sampling cadence.
-  sim::Duration window = sim::Duration::milliseconds(50);
-
-  /// hA → hB probe flow (one datagram per period until shortly before
-  /// the horizon).
-  sim::Duration data_period = sim::Duration::milliseconds(5);
 };
 
 /// Outcome of one run.

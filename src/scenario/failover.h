@@ -24,7 +24,6 @@
 
 #include <cstdint>
 
-#include "failover/failover_compiler.h"
 #include "faultinject/fabric_injector.h"
 #include "faultinject/fault_plan.h"
 #include "scenario/circuit.h"
@@ -33,41 +32,30 @@
 
 namespace netco::scenario {
 
-/// Parameters of one static-failover run.
+/// Parameters of one static-failover run. The fabric is a fat-tree whose
+/// aggregation position (0,0) — the §VI attack position, on every primary
+/// path into and out of pod 0 — is a k = 3 NetCo combiner. Port deaths
+/// are detected resilience::kSwitchKeepalive after the failure.
 struct FailoverOptions {
-  std::uint64_t seed = 1;
+  /// Fat-tree radix.
+  static constexpr int kRadix = 4;
+  /// When a synthesized kill plan fires.
+  static constexpr sim::Duration kFailAt = sim::Duration::milliseconds(200);
 
-  int k = 4;  ///< fat-tree radix (even, >= 2)
-  /// true → the protected aggregation position is a NetCo combiner.
-  bool use_combiner = true;
-  int combiner_k = 3;  ///< replicas inside the combiner
-  /// The aggregation position the combiner wraps (§VI attack position —
-  /// (0,0) sits on every primary path into and out of pod 0).
-  topo::AggPosition protect{0, 0};
+  std::uint64_t seed = 1;
 
   /// Ablation switch: false skips compile_failover(), leaving only the
   /// unguarded primary routes — the control a failure must NOT survive.
   bool compile_backup_rules = true;
-  failover::CompilerOptions compiler;
 
   /// Explicit fault schedule; when empty and link_cuts + switch_kills > 0,
-  /// a correlated kill plan is synthesized (all failures at fail_at).
+  /// a correlated kill plan is synthesized (all failures at kFailAt).
   faultinject::FaultPlan plan;
   int link_cuts = 0;
   int switch_kills = 0;
   faultinject::KillTarget target = faultinject::KillTarget::kAny;
-  sim::Duration fail_at = sim::Duration::milliseconds(200);
-  /// Port-death detection latency (the switch_keepalive).
-  sim::Duration keepalive = faultinject::FabricInjectorOptions{}.keepalive;
 
   sim::Duration horizon = sim::Duration::milliseconds(500);
-  /// Goodput-attribution window (also the fleet commit cadence).
-  sim::Duration window = sim::Duration::milliseconds(25);
-  sim::Duration data_period = sim::Duration::milliseconds(1);
-  /// First packet of flow 0; flow f starts flow_start + f·flow_stagger so
-  /// the fabric never sees lockstep bursts.
-  sim::Duration flow_start = sim::Duration::milliseconds(10);
-  sim::Duration flow_stagger = sim::Duration::microseconds(137);
 };
 
 /// Outcome of one run.

@@ -6,12 +6,19 @@
 
 namespace netco::scenario {
 
+namespace {
+
+/// Beacon send period per circuit while its sender phase lasts.
+constexpr sim::Duration kBeaconPeriod = sim::Duration::milliseconds(10);
+
+}  // namespace
+
 ShardedSoakResult run_sharded_soak(const ShardedSoakOptions& options) {
   ShardedSoakResult out;
   FleetResult<SoakResult>& fleet = out;
   fleet = run_fleet<SoakCircuit>(
       options.base, options.circuits, options.shards,
-      options.cross_shard_beacons ? std::optional(options.beacon_period)
+      options.cross_shard_beacons ? std::optional(kBeaconPeriod)
                                   : std::nullopt);
   out.merged_egress_hash =
       fold_in_circuit_order(out.circuits, &SoakResult::egress_set_hash);

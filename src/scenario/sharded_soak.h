@@ -40,10 +40,9 @@ struct ShardedSoakOptions {
   /// Worker threads (the "shards=N" knob). Never affects any hash.
   int shards = 1;
   /// Wire a beacon ring circuit i → (i+1) % circuits over cross-shard
-  /// channels (ignored with a single circuit).
+  /// channels (ignored with a single circuit). Each circuit beacons every
+  /// 10 ms while its sender phase lasts.
   bool cross_shard_beacons = false;
-  /// Beacon send period per circuit while its sender phase lasts.
-  sim::Duration beacon_period = sim::Duration::milliseconds(10);
 };
 
 /// Aggregate outcome plus every per-circuit result.

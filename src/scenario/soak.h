@@ -26,13 +26,16 @@ namespace netco::scenario {
 
 /// Soak parameters.
 struct SoakOptions {
+  /// UDP payload bytes per datagram of the single-stream sender. Named
+  /// like a field: harnesses read it as options.payload_bytes.
+  static constexpr std::size_t payload_bytes = 200;
+
   int k = 3;
   core::ReleasePolicy policy = core::ReleasePolicy::kMajority;
   std::uint64_t seed = 1;
   /// Stop the sender once this many datagrams have been offered. Each is
   /// multiplied k-fold at the hub, so compare ingests ≈ k × packets.
   std::uint64_t packets = 100'000;
-  std::size_t payload_bytes = 200;
   /// Offered rate. Small packets keep the compare busy; the default sits
   /// below the c_program compare's ~80k packet-in/s capacity at k=3 so
   /// that faults, not steady-state overload, drive the dynamics (the
@@ -44,8 +47,6 @@ struct SoakOptions {
   /// false + an empty plan = a fault-free run — the baseline the recovery
   /// scenarios compare their post-quarantine goodput against.
   bool inject_default_faults = true;
-  /// How often the compare caches are audited.
-  sim::Duration audit_period = sim::Duration::milliseconds(50);
   /// Replica-health loop configuration (disabled by default — a soak with
   /// health off is bit-identical to one built before the subsystem).
   health::HealthConfig health;
@@ -68,8 +69,8 @@ struct SoakOptions {
   workload::WorkloadConfig workload;
   /// Feed the invariant checker only the protocol-relevant records
   /// (compare.*, health.*, resilience.*), skipping the per-record
-  /// serialize-and-hash cost of the forwarding narration (hub.*,
-  /// replica.forward, link.*). Every invariant still checks — the checker
+  /// serialize-and-hash cost of the forwarding narration
+  /// (replica.forward, link.*). Every invariant still checks — the checker
   /// never reads the dropped record kinds — but stream_hash then covers
   /// the protocol stream only. Perf-comparison configs set this on BOTH
   /// sides of a pair so the measured delta is the compare path, not

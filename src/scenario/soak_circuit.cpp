@@ -11,13 +11,16 @@ namespace netco::scenario {
 
 namespace {
 
+/// How often the compare caches are audited (and the window cadence).
+constexpr sim::Duration kAuditPeriod = sim::Duration::milliseconds(50);
+
 /// Expected run length for a packet budget at an offered rate, with head
 /// room for warmup, fault churn, and pacing jitter. In workload mode the
 /// arrival phase length is configured directly.
 sim::Duration expected_duration(const SoakOptions& options) {
   if (options.workload.enabled) return options.workload.duration;
   const double pps = static_cast<double>(options.rate.bps()) /
-                     (static_cast<double>(options.payload_bytes) * 8.0);
+                     (static_cast<double>(SoakOptions::payload_bytes) * 8.0);
   const double secs = static_cast<double>(options.packets) / pps;
   return sim::Duration::seconds_f(secs);
 }
@@ -122,7 +125,7 @@ SoakCircuit::SoakCircuit(const SoakOptions& options)
       h.datapath = combiner.replicas[0];
       h.config.out_port = combiner.replica_edge_port[0][1];
       h.config.packets_per_sec = opts_.workload.ddos_packets_per_sec;
-      h.config.packet_bytes = opts_.workload.ddos_packet_bytes;
+      h.config.packet_bytes = workload::WorkloadConfig::kDdosPacketBytes;
       h.config.dst_mac = topo_->h2().mac();
       h.config.src_mac = topo_->h1().mac();
       hook = h;
@@ -135,7 +138,7 @@ SoakCircuit::SoakCircuit(const SoakOptions& options)
   scfg.dst_mac = topo_->h2().mac();
   scfg.dst_ip = topo_->h2().ip();
   scfg.rate = opts_.rate;
-  scfg.payload_bytes = opts_.payload_bytes;
+  scfg.payload_bytes = SoakOptions::payload_bytes;
   sender_ = std::make_unique<host::UdpSender>(topo_->h1(), scfg);
   sink_ = std::make_unique<host::UdpSink>(topo_->h2(), scfg.dst_port);
 }
@@ -166,7 +169,7 @@ sim::TimePoint SoakCircuit::start() {
   } else {
     sender_->start();
   }
-  return topo_->simulator().now() + opts_.audit_period;
+  return topo_->simulator().now() + kAuditPeriod;
 }
 
 sim::TimePoint SoakCircuit::on_window(sim::TimePoint committed) {
@@ -186,7 +189,7 @@ sim::TimePoint SoakCircuit::on_window(sim::TimePoint committed) {
       }
       if (sender_->stats().datagrams_sent < opts_.packets &&
           committed < deadline_) {
-        return committed + opts_.audit_period;
+        return committed + kAuditPeriod;
       }
       sender_->stop();
       phase_ = Phase::kDraining;
@@ -224,11 +227,11 @@ sim::TimePoint SoakCircuit::on_workload_window(sim::TimePoint committed) {
         tail_delivered_mark_ = engine_->stats().packets_delivered;
       }
       if (committed.since_origin() < horizon_ && committed < deadline_) {
-        return committed + opts_.audit_period;
+        return committed + kAuditPeriod;
       }
       engine_->begin_drain();
       phase_ = Phase::kDraining;
-      return committed + opts_.audit_period;
+      return committed + kAuditPeriod;
     }
     case Phase::kDraining: {
       audit_cores();
@@ -236,7 +239,7 @@ sim::TimePoint SoakCircuit::on_workload_window(sim::TimePoint committed) {
       // The deadline bounds the drain even if a future regression wedges
       // a flow (retries are finite, so this only trips on bugs).
       if (!engine_->idle() && committed < deadline_) {
-        return committed + opts_.audit_period;
+        return committed + kAuditPeriod;
       }
       phase_ = Phase::kSettling;
       // Let in-flight packets land and compare entries age out so the

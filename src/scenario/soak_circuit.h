@@ -26,7 +26,7 @@
 namespace netco::scenario {
 
 /// Forwards only the record kinds the protocol checker actually reads
-/// (everything except the hub/replica/link forwarding narration), so a
+/// (everything except the replica/link forwarding narration), so a
 /// perf-comparison pair is not dominated by serialize-and-hash cost that
 /// is identical on both sides anyway (see SoakOptions::protocol_trace_only).
 class ProtocolFilterSink final : public obs::TraceSink {
@@ -36,8 +36,6 @@ class ProtocolFilterSink final : public obs::TraceSink {
 
   void append(const obs::TraceRecord& record) override {
     switch (record.event) {
-      case obs::TraceEvent::kHubIngress:
-      case obs::TraceEvent::kHubMerge:
       case obs::TraceEvent::kReplicaForward:
       case obs::TraceEvent::kLinkDrop:
       case obs::TraceEvent::kLinkLoss:

@@ -51,6 +51,7 @@ device::PortIndex FatTreeTopology::agg_port_to_core(int core_slot) const {
 void FatTreeTopology::build() {
   const int k = options_.k;
   const int h = k / 2;
+  const link::LinkConfig wire{};  // every link of the fabric
 
   // --- nodes --------------------------------------------------------------
   edges_.assign(static_cast<std::size_t>(k), {});
@@ -66,7 +67,7 @@ void FatTreeTopology::build() {
         hosts_[static_cast<std::size_t>(p)][static_cast<std::size_t>(e)]
             .push_back(&network_.add_node<host::Host>(
                 fmt("h{}-{}-{}", p, e, i), net::MacAddress::from_id(id),
-                net::Ipv4Address::from_id(id), options_.host_profile));
+                net::Ipv4Address::from_id(id)));
       }
     }
     for (int a = 0; a < h; ++a) {
@@ -95,7 +96,7 @@ void FatTreeTopology::build() {
                              *hosts_[static_cast<std::size_t>(p)]
                                     [static_cast<std::size_t>(e)]
                                     [static_cast<std::size_t>(i)],
-                             options_.link);
+                             wire);
         fabric_links_.push_back(
             {edge_sid(p, e), conn.a_port, -1, conn.b_port, conn.link});
       }
@@ -112,14 +113,14 @@ void FatTreeTopology::build() {
           const auto conn =
               network_.connect(*agg, *edges_[static_cast<std::size_t>(p)]
                                             [static_cast<std::size_t>(e)],
-                               options_.link);
+                               wire);
           fabric_links_.push_back({agg_sid(p, a), conn.a_port, edge_sid(p, e),
                                    conn.b_port, conn.link});
         }
         for (int s = 0; s < h; ++s) {
           const auto conn = network_.connect(
               *agg, *cores_[static_cast<std::size_t>(a * h + s)],
-              options_.link);
+              wire);
           fabric_links_.push_back({agg_sid(p, a), conn.a_port,
                                    core_sid(a * h + s), conn.b_port,
                                    conn.link});
@@ -134,7 +135,7 @@ void FatTreeTopology::build() {
         core::PortAttachment at;
         at.neighbor = edges_[static_cast<std::size_t>(p)]
                             [static_cast<std::size_t>(e)];
-        at.link = options_.link;
+        at.link = wire;
         for (int i = 0; i < h; ++i) {
           at.local_macs.push_back(
               net::MacAddress::from_id(host_id(k, p, e, i)));
@@ -144,7 +145,7 @@ void FatTreeTopology::build() {
       for (int s = 0; s < h; ++s) {
         core::PortAttachment at;
         at.neighbor = cores_[static_cast<std::size_t>(a * h + s)];
-        at.link = options_.link;
+        at.link = wire;
         // The "local side" of a core attachment is every host outside
         // this pod (they are reached through the core fabric).
         for (int q = 0; q < k; ++q) {

@@ -32,8 +32,6 @@ struct AggPosition {
 /// Fat-tree construction options.
 struct FatTreeOptions {
   int k = 4;  ///< pods (even, >= 2); also the switch radix
-  link::LinkConfig link;
-  host::HostProfile host_profile;
   std::uint64_t seed = 1;
   /// If set, this aggregation position is built as a NetCo combiner
   /// instead of a single untrusted switch.

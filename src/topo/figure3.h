@@ -25,12 +25,8 @@ namespace netco::topo {
 struct Figure3Options {
   /// false → the Linespeed reduction (single router, no combiner).
   bool use_combiner = true;
-  /// Combiner parameters (k, compare config, profiles, edge mode).
+  /// Combiner parameters (k, compare config and profile, edge mode).
   core::CombinerOptions combiner;
-  /// Host access links and (for Linespeed) inter-switch links.
-  link::LinkConfig access_link;
-  /// Host CPU personality.
-  host::HostProfile host_profile;
   /// Simulation seed.
   std::uint64_t seed = 1;
   /// Replica-health loop (src/health). Disabled by default; enabling it

@@ -1,38 +1,39 @@
 #include "topo/inband.h"
 
-#include "common/assert.h"
 #include "common/fmt.h"
 #include "controller/static_routing.h"
 
 namespace netco::topo {
 
-InbandCombinerTopology::InbandCombinerTopology(InbandOptions options)
-    : options_(std::move(options)),
-      simulator_(options_.seed),
-      network_(simulator_) {
-  NETCO_ASSERT(options_.k >= 2);
+namespace {
+
+constexpr int kReplicas = 3;
+constexpr std::uint64_t kSeed = 1;
+
+}  // namespace
+
+InbandCombinerTopology::InbandCombinerTopology()
+    : simulator_(kSeed), network_(simulator_) {
   build();
 }
 
 void InbandCombinerTopology::build() {
-  const int k = options_.k;
+  const int k = kReplicas;
   const auto now = simulator_.now();
   const auto h1_mac = net::MacAddress::from_id(1);
   const auto h2_mac = net::MacAddress::from_id(2);
+  const link::LinkConfig wire{};
 
   h1_ = &network_.add_node<host::Host>("h1", h1_mac,
-                                       net::Ipv4Address::from_id(1),
-                                       options_.host_profile);
+                                       net::Ipv4Address::from_id(1));
   h2_ = &network_.add_node<host::Host>("h2", h2_mac,
-                                       net::Ipv4Address::from_id(2),
-                                       options_.host_profile);
+                                       net::Ipv4Address::from_id(2));
 
-  const openflow::SwitchProfile edge_profile{
-      .vendor = "trusted-edge", .processing_delay = options_.edge_delay};
+  const openflow::SwitchProfile edge_profile = core::trusted_edge_profile();
   ea_ = &network_.add_node<openflow::OpenFlowSwitch>("eA", edge_profile);
   eb_ = &network_.add_node<openflow::OpenFlowSwitch>("eB", edge_profile);
 
-  core::MiddleboxConfig mb_config = options_.middlebox;
+  core::MiddleboxConfig mb_config;
   mb_config.compare.k = k;
   mb_ab_ = &network_.add_node<core::CompareMiddlebox>("mbAB", mb_config);
   mb_ba_ = &network_.add_node<core::CompareMiddlebox>("mbBA", mb_config);
@@ -45,26 +46,26 @@ void InbandCombinerTopology::build() {
 
   // Wiring. Edge ports: 0 = host, 1..k = replicas, k+1 = from middlebox.
   // Replica ports: 0 = eA, 1 = mbAB, 2 = eB, 3 = mbBA.
-  network_.connect(*ea_, *h1_, options_.link);
-  network_.connect(*eb_, *h2_, options_.link);
+  network_.connect(*ea_, *h1_, wire);
+  network_.connect(*eb_, *h2_, wire);
   for (int j = 0; j < k; ++j) {
     network_.connect(*ea_, *replicas_[static_cast<std::size_t>(j)],
-                     options_.link);  // r port 0
+                     wire);  // r port 0
   }
   for (int j = 0; j < k; ++j) {
     network_.connect(*replicas_[static_cast<std::size_t>(j)], *mb_ab_,
-                     options_.link);  // r port 1, mbAB port j
+                     wire);  // r port 1, mbAB port j
   }
   for (int j = 0; j < k; ++j) {
     network_.connect(*eb_, *replicas_[static_cast<std::size_t>(j)],
-                     options_.link);  // r port 2; eB port 1+j
+                     wire);  // r port 2; eB port 1+j
   }
   for (int j = 0; j < k; ++j) {
     network_.connect(*replicas_[static_cast<std::size_t>(j)], *mb_ba_,
-                     options_.link);  // r port 3, mbBA port j
+                     wire);  // r port 3, mbBA port j
   }
-  network_.connect(*mb_ab_, *eb_, options_.link);  // mbAB port k; eB port k+1
-  network_.connect(*mb_ba_, *ea_, options_.link);  // mbBA port k; eA port k+1
+  network_.connect(*mb_ab_, *eb_, wire);  // mbAB port k; eB port k+1
+  network_.connect(*mb_ba_, *ea_, wire);  // mbBA port k; eA port k+1
 
   // Edge rules.
   const auto program_edge = [&](openflow::OpenFlowSwitch& edge,

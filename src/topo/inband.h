@@ -23,20 +23,11 @@
 
 namespace netco::topo {
 
-/// Construction options.
-struct InbandOptions {
-  int k = 3;
-  core::MiddleboxConfig middlebox;
-  link::LinkConfig link;
-  host::HostProfile host_profile;
-  sim::Duration edge_delay = sim::Duration::microseconds(5);
-  std::uint64_t seed = 1;
-};
-
-/// The instantiated inband-combiner network.
+/// The instantiated inband-combiner network: k = 3 replicas, default
+/// links, hosts and middleboxes, seed 1.
 class InbandCombinerTopology {
  public:
-  explicit InbandCombinerTopology(InbandOptions options);
+  InbandCombinerTopology();
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
   [[nodiscard]] device::Network& network() noexcept { return network_; }
@@ -53,7 +44,6 @@ class InbandCombinerTopology {
  private:
   void build();
 
-  InbandOptions options_;
   sim::Simulator simulator_;
   device::Network network_;
   host::Host* h1_ = nullptr;

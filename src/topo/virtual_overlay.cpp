@@ -7,10 +7,14 @@
 
 namespace netco::topo {
 
+namespace {
+
+constexpr std::uint64_t kSeed = 1;
+
+}  // namespace
+
 VirtualOverlayTopology::VirtualOverlayTopology(VirtualOverlayOptions options)
-    : options_(std::move(options)),
-      simulator_(options_.seed),
-      network_(simulator_) {
+    : options_(options), simulator_(kSeed), network_(simulator_) {
   NETCO_ASSERT(options_.paths >= 2);
   NETCO_ASSERT(options_.hops_per_path >= 1);
   build();
@@ -26,21 +30,19 @@ void VirtualOverlayTopology::build() {
   const int k = options_.paths;
   const auto now = simulator_.now();
   const auto vendors = core::default_replica_profiles();
+  const link::LinkConfig wire{};
 
   host_a_ = &network_.add_node<host::Host>("hA", net::MacAddress::from_id(1),
-                                           net::Ipv4Address::from_id(1),
-                                           options_.host_profile);
+                                           net::Ipv4Address::from_id(1));
   host_b_ = &network_.add_node<host::Host>("hB", net::MacAddress::from_id(2),
-                                           net::Ipv4Address::from_id(2),
-                                           options_.host_profile);
-  const openflow::SwitchProfile edge_profile{
-      .vendor = "trusted-edge", .processing_delay = sim::Duration::microseconds(5)};
+                                           net::Ipv4Address::from_id(2));
+  const openflow::SwitchProfile edge_profile = core::trusted_edge_profile();
   sa_ = &network_.add_node<openflow::OpenFlowSwitch>("sA", edge_profile);
   sb_ = &network_.add_node<openflow::OpenFlowSwitch>("sB", edge_profile);
 
   // Port 0 of each edge: the host.
-  network_.connect(*sa_, *host_a_, options_.link);
-  network_.connect(*sb_, *host_b_, options_.link);
+  network_.connect(*sa_, *host_a_, wire);
+  network_.connect(*sb_, *host_b_, wire);
 
   // Paths: port 1+i on each edge; path switches use port 0 toward sA-side,
   // port 1 toward sB-side.
@@ -52,10 +54,10 @@ void VirtualOverlayTopology::build() {
           fmt("p{}-{}", i, hop),
           vendors[static_cast<std::size_t>(i) % vendors.size()]);
       path_switches_[static_cast<std::size_t>(i)].push_back(&sw);
-      network_.connect(*prev, sw, options_.link);
+      network_.connect(*prev, sw, wire);
       prev = &sw;
     }
-    network_.connect(*prev, *sb_, options_.link);
+    network_.connect(*prev, *sb_, wire);
 
     // Cross-connect rules inside the path (pure transit).
     for (auto* sw : path_switches_[static_cast<std::size_t>(i)]) {
@@ -75,7 +77,8 @@ void VirtualOverlayTopology::build() {
   // The shared compare process, tunnel-tag keyed.
   compare_ = std::make_unique<core::CompareService>();
   controller_ = std::make_unique<controller::Controller>(
-      simulator_, "virtual-compare", *compare_, options_.compare_profile);
+      simulator_, "virtual-compare", *compare_,
+      controller::CostProfile::c_program());
 
   const auto setup_edge = [&](openflow::OpenFlowSwitch& edge,
                               const net::MacAddress& local_mac,
@@ -86,7 +89,7 @@ void VirtualOverlayTopology::build() {
     split.match.with_in_port(0);
     for (int i = 0; i < k; ++i) {
       split.actions.push_back(openflow::SetVlanVidAction{
-          static_cast<std::uint16_t>(options_.base_vlan + i)});
+          static_cast<std::uint16_t>(VirtualOverlayOptions::kBaseVlan + i)});
       split.actions.push_back(
           openflow::OutputAction::to(static_cast<device::PortIndex>(1 + i)));
     }
@@ -94,7 +97,6 @@ void VirtualOverlayTopology::build() {
     edge.table().add(std::move(split), now);
 
     core::CompareService::EdgeConfig config;
-    config.compare = options_.compare;
     config.compare.k = k;
     for (int i = 0; i < k; ++i) {
       const auto port = static_cast<device::PortIndex>(1 + i);
@@ -112,8 +114,8 @@ void VirtualOverlayTopology::build() {
       punt.priority = core::kPuntPriority;
       edge.table().add(std::move(punt), now);
 
-      config.replica_vlans[static_cast<std::uint16_t>(options_.base_vlan + i)] =
-          i;
+      config.replica_vlans[static_cast<std::uint16_t>(
+          VirtualOverlayOptions::kBaseVlan + i)] = i;
     }
     // Released (untagged) packets go to the host by MAC.
     controller::install_mac_route(edge, local_mac, 0);

@@ -26,17 +26,15 @@
 
 namespace netco::topo {
 
-/// Virtualized-NetCo topology options.
+/// Virtualized-NetCo topology options. The compare runs the default
+/// CompareConfig on a c_program() process; links and hosts are the
+/// defaults; the seed is 1.
 struct VirtualOverlayOptions {
+  /// Tunnel tag of path i: kBaseVlan + i.
+  static constexpr std::uint16_t kBaseVlan = 100;
+
   int paths = 3;           ///< k tunnels
   int hops_per_path = 1;   ///< untrusted switches on each path
-  std::uint16_t base_vlan = 100;
-  core::CompareConfig compare;
-  controller::CostProfile compare_profile =
-      controller::CostProfile::c_program();
-  link::LinkConfig link;
-  host::HostProfile host_profile;
-  std::uint64_t seed = 1;
 };
 
 /// The instantiated overlay.

@@ -33,7 +33,20 @@ enum class Scenario : std::uint8_t {
 
 /// Flow-level workload parameters. Defaults model a modest population that
 /// a k=3 combiner sustains with headroom; benches sweep the arrival rate.
+///
+/// Fixed by the engine (workload/engine.cpp): flow sizes are bounded
+/// Pareto(1.3) from 1 packet up; a flow's window starts at 2 packets per
+/// 2 ms pacing tick and doubles per tick up to 32; a 40 ms completion
+/// timeout retransmits any shortfall, up to 6 rounds; the diurnal
+/// amplitude is 0.6, the flash-crowd multiplier 8 and the burst window
+/// 0.2 of `duration` long; flows send to UDP port 5002; the per-flow
+/// timers tick at 100 µs.
 struct WorkloadConfig {
+  /// UDP payload bytes per packet (>= 12: flow index + token + seq).
+  static constexpr std::size_t kPayloadBytes = 200;
+  /// DDoS: bytes per forged packet.
+  static constexpr std::size_t kDdosPacketBytes = 200;
+
   /// Master switch: when false inside SoakOptions, the soak runs the
   /// classic single-stream UDP sender and nothing here is read.
   bool enabled = false;
@@ -51,25 +64,9 @@ struct WorkloadConfig {
   double flows_per_session_mean = 3.0;
   /// Think time between a session's flows ~ Exponential with this mean.
   sim::Duration think_mean = sim::Duration::milliseconds(200);
-  /// Flow size in packets ~ bounded Pareto(alpha) on [min, max]: many
-  /// mice, few elephants — the heavy tail that breaks mean-based sizing.
-  double pareto_alpha = 1.3;
-  std::uint32_t flow_min_packets = 1;
+  /// Upper bound of the bounded-Pareto flow size in packets: many mice,
+  /// few elephants — the heavy tail that breaks mean-based sizing.
   std::uint32_t flow_max_packets = 256;
-  /// UDP payload bytes per packet (>= 12: flow index + token + seq).
-  std::size_t payload_bytes = 200;
-
-  // --- flow transport (windowed, iperf-like pacing) ----------------------
-  /// Packets offered per pacing tick start at `initial_window`, double per
-  /// tick up to `max_window` (slow-start shape), and halve on a timeout.
-  std::uint32_t initial_window = 2;
-  std::uint32_t max_window = 32;
-  sim::Duration pacing_interval = sim::Duration::milliseconds(2);
-  /// Completion-check timeout after a flow has offered all packets: any
-  /// shortfall is retransmitted as fresh datagrams.
-  sim::Duration rto = sim::Duration::milliseconds(40);
-  /// Retransmit rounds before the flow is abandoned.
-  std::uint32_t max_retries = 6;
 
   // --- capacity ----------------------------------------------------------
   /// Flow records in the flat pool: sessions beyond this are dropped (and
@@ -80,23 +77,11 @@ struct WorkloadConfig {
   std::uint32_t active_cap = 256;
 
   // --- scenario shaping --------------------------------------------------
-  /// Diurnal: λ(t) = λ0 · (1 + amplitude · sin(2πt/duration)), floored at
-  /// 5% of λ0.
-  double diurnal_amplitude = 0.6;
-  /// Flash crowd: λ multiplier inside the burst window.
-  double flash_multiplier = 8.0;
-  /// Burst window (flash crowd and DDoS) as fractions of `duration`.
+  /// Start of the burst window (flash crowd and DDoS) as a fraction of
+  /// `duration`.
   double burst_start_frac = 0.4;
-  double burst_len_frac = 0.2;
   /// DDoS: forged packets per second injected at replica 0 in the window.
   double ddos_packets_per_sec = 20'000.0;
-  std::size_t ddos_packet_bytes = 200;
-
-  // --- plumbing -----------------------------------------------------------
-  /// Destination UDP port the engine binds on the receiving host.
-  std::uint16_t dst_port = 5002;
-  /// Timer-wheel tick for the per-flow timers (pacing, RTO, think).
-  sim::Duration wheel_tick = sim::Duration::microseconds(100);
 };
 
 }  // namespace netco::workload

@@ -13,6 +13,36 @@ namespace netco::workload {
 namespace {
 
 constexpr std::uint16_t kSrcPort = 40001;
+/// Destination UDP port the engine binds on the receiving host.
+constexpr std::uint16_t kDstPort = 5002;
+/// Timer-wheel tick for the per-flow timers (pacing, RTO, think).
+constexpr sim::Duration kWheelTick = sim::Duration::microseconds(100);
+
+/// Flow size in packets ~ bounded Pareto(kParetoAlpha) on
+/// [kFlowMinPackets, flow_max_packets].
+constexpr double kParetoAlpha = 1.3;
+constexpr std::uint32_t kFlowMinPackets = 1;
+
+/// Packets offered per pacing tick start at kInitialWindow, double per
+/// tick up to kMaxWindow (slow-start shape), and halve on a timeout.
+constexpr std::uint32_t kInitialWindow = 2;
+constexpr std::uint32_t kMaxWindow = 32;
+static_assert(kInitialWindow > 0 && kInitialWindow <= kMaxWindow &&
+              kMaxWindow <= 0xFFFF);
+constexpr sim::Duration kPacingInterval = sim::Duration::milliseconds(2);
+/// Completion-check timeout after a flow has offered all packets: any
+/// shortfall is retransmitted as fresh datagrams.
+constexpr sim::Duration kRto = sim::Duration::milliseconds(40);
+/// Retransmit rounds before the flow is abandoned.
+constexpr std::uint32_t kMaxRetries = 6;
+
+/// Diurnal: λ(t) = λ0 · (1 + kDiurnalAmplitude · sin(2πt/duration)),
+/// floored at 5% of λ0.
+constexpr double kDiurnalAmplitude = 0.6;
+/// Flash crowd: λ multiplier inside the burst window.
+constexpr double kFlashMultiplier = 8.0;
+/// Burst window length (flash crowd and DDoS) as a fraction of duration.
+constexpr double kBurstLenFrac = 0.2;
 
 /// FCT buckets (ms): sub-RTT mice through multi-second elephants.
 std::vector<double> fct_bounds() {
@@ -48,25 +78,22 @@ WorkloadEngine::WorkloadEngine(host::Host& src, host::Host& dst,
       config_(config),
       rng_(seed),
       pool_(config.pool_capacity),
-      wheel_(src.simulator(), {.tick = config.wheel_tick}),
+      wheel_(src.simulator(), {.tick = kWheelTick}),
       fct_ms_(obs::global().metrics.histogram("workload.fct_ms",
                                               fct_bounds())),
       flow_size_pkts_(obs::global().metrics.histogram(
           "workload.flow_size_pkts", flow_size_bounds())) {
-  NETCO_ASSERT(config_.payload_bytes >= kMinPayload);
+  static_assert(WorkloadConfig::kPayloadBytes >= kMinPayload);
   NETCO_ASSERT(config_.session_arrivals_per_sec > 0.0);
   NETCO_ASSERT(config_.duration.ns() > 0);
   NETCO_ASSERT(config_.active_cap > 0);
-  NETCO_ASSERT(config_.initial_window > 0 &&
-               config_.initial_window <= config_.max_window &&
-               config_.max_window <= 0xFFFF);
   if (config_.scenario == Scenario::kDdosBurst) {
     NETCO_ASSERT_MSG(ddos.has_value() && ddos->datapath != nullptr,
                      "ddos-burst scenario requires a DdosHook");
     flooder_ = std::make_unique<adversary::DosFlooder>(*ddos->datapath,
                                                        ddos->config);
   }
-  dst_.bind_udp(config_.dst_port,
+  dst_.bind_udp(kDstPort,
                 [this](const net::ParsedPacket& parsed,
                        const net::Packet& packet) {
                   on_datagram(parsed, packet);
@@ -74,7 +101,7 @@ WorkloadEngine::WorkloadEngine(host::Host& src, host::Host& dst,
 }
 
 WorkloadEngine::~WorkloadEngine() {
-  dst_.unbind_udp(config_.dst_port);
+  dst_.unbind_udp(kDstPort);
   *alive_ = false;
 }
 
@@ -90,7 +117,7 @@ void WorkloadEngine::start() {
     ddos_start_ = src_.simulator().schedule_after(
         frac_ns(config_.burst_start_frac), [this] { flooder_->start(); });
     ddos_stop_ = src_.simulator().schedule_after(
-        frac_ns(config_.burst_start_frac + config_.burst_len_frac),
+        frac_ns(config_.burst_start_frac + kBurstLenFrac),
         [this] { flooder_->stop(); });
   }
 }
@@ -105,12 +132,12 @@ double WorkloadEngine::arrival_rate_at(sim::TimePoint t) const noexcept {
       return base;
     case Scenario::kDiurnal:
       return std::max(0.05 * base,
-                      base * (1.0 + config_.diurnal_amplitude *
+                      base * (1.0 + kDiurnalAmplitude *
                                         std::sin(2.0 * M_PI * frac)));
     case Scenario::kFlashCrowd:
       return (frac >= config_.burst_start_frac &&
-              frac < config_.burst_start_frac + config_.burst_len_frac)
-                 ? base * config_.flash_multiplier
+              frac < config_.burst_start_frac + kBurstLenFrac)
+                 ? base * kFlashMultiplier
                  : base;
   }
   return base;
@@ -144,11 +171,11 @@ std::uint32_t WorkloadEngine::draw_flow_count() {
 }
 
 std::uint32_t WorkloadEngine::draw_flow_packets() {
-  const std::uint32_t lo = std::max<std::uint32_t>(1, config_.flow_min_packets);
+  const std::uint32_t lo = kFlowMinPackets;
   const std::uint32_t hi = std::max(lo, config_.flow_max_packets);
   if (lo == hi) return lo;
   // Bounded Pareto inverse CDF on [lo, hi].
-  const double alpha = config_.pareto_alpha;
+  const double alpha = kParetoAlpha;
   const double u = std::min(rng_.uniform01(), 1.0 - 1e-12);
   const double ratio =
       std::pow(static_cast<double>(lo) / static_cast<double>(hi), alpha);
@@ -198,7 +225,7 @@ void WorkloadEngine::activate(std::uint32_t index) {
   pool_.delivered[index] = 0;
   pool_.next_seq[index] = 0;
   pool_.retries[index] = 0;
-  pool_.window[index] = static_cast<std::uint16_t>(config_.initial_window);
+  pool_.window[index] = static_cast<std::uint16_t>(kInitialWindow);
   pool_.flow_start_ns[index] = src_.simulator().now().ns();
   do_pace(index);
 }
@@ -249,15 +276,14 @@ void WorkloadEngine::do_pace(std::uint32_t index) {
   if (pool_.to_offer[index] > 0) {
     if (sent == burst) {  // grow only when the whole burst left on time
       pool_.window[index] = static_cast<std::uint16_t>(
-          std::min<std::uint32_t>(pool_.window[index] * 2, config_.max_window));
+          std::min<std::uint32_t>(pool_.window[index] * 2, kMaxWindow));
     }
-    pool_.timer[index] = wheel_.schedule_after(config_.pacing_interval,
-                                               &on_timer, this, index);
+    pool_.timer[index] =
+        wheel_.schedule_after(kPacingInterval, &on_timer, this, index);
     return;
   }
   pool_.state[index] = FlowState::kRtoWait;
-  pool_.timer[index] =
-      wheel_.schedule_after(config_.rto, &on_timer, this, index);
+  pool_.timer[index] = wheel_.schedule_after(kRto, &on_timer, this, index);
 }
 
 void WorkloadEngine::on_rto(std::uint32_t index) {
@@ -265,7 +291,7 @@ void WorkloadEngine::on_rto(std::uint32_t index) {
     complete_flow(index);
     return;
   }
-  if (pool_.retries[index] >= config_.max_retries) {
+  if (pool_.retries[index] >= kMaxRetries) {
     ++stats_.flows_aborted;
     end_flow(index);
     return;
@@ -278,7 +304,7 @@ void WorkloadEngine::on_rto(std::uint32_t index) {
   // the window (timeout = congestion signal).
   pool_.to_offer[index] = missing;
   pool_.window[index] = static_cast<std::uint16_t>(std::max<std::uint32_t>(
-      config_.initial_window, pool_.window[index] / 2));
+      kInitialWindow, pool_.window[index] / 2));
   pool_.state[index] = FlowState::kPacing;
   do_pace(index);
 }
@@ -319,7 +345,7 @@ void WorkloadEngine::end_flow(std::uint32_t index) {
 void WorkloadEngine::emit_packet(std::uint32_t index) {
   const std::uint32_t seq = pool_.next_seq[index]++;
   const std::uint32_t token = pool_.token[index];
-  std::vector<std::byte> payload(config_.payload_bytes, std::byte{0});
+  std::vector<std::byte> payload(WorkloadConfig::kPayloadBytes, std::byte{0});
   const auto put_u32 = [&payload](std::size_t off, std::uint32_t v) {
     for (std::size_t i = 0; i < 4; ++i)
       payload[off + i] = static_cast<std::byte>((v >> (24 - 8 * i)) & 0xFF);
@@ -333,15 +359,15 @@ void WorkloadEngine::emit_packet(std::uint32_t index) {
       net::Ipv4Header{.src = src_.ip(),
                       .dst = dst_.ip(),
                       .identification = src_.next_ip_id()},
-      net::UdpHeader{.src_port = kSrcPort, .dst_port = config_.dst_port},
+      net::UdpHeader{.src_port = kSrcPort, .dst_port = kDstPort},
       payload);
 
   ++tx_backlog_;
   const auto tx_cost =
-      src_.profile().udp_tx_cost +
+      host::HostProfile::kUdpTxCost +
       sim::Duration::nanoseconds(static_cast<std::int64_t>(
-          src_.profile().udp_tx_ns_per_byte *
-          static_cast<double>(config_.payload_bytes)));
+          host::HostProfile::kUdpTxNsPerByte *
+          static_cast<double>(WorkloadConfig::kPayloadBytes)));
   src_.cpu_submit(tx_cost,
                   [this, alive = std::weak_ptr<bool>(alive_),
                    p = std::move(datagram)]() mutable {

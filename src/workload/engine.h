@@ -42,7 +42,7 @@ struct WorkloadStats {
   std::uint64_t sessions_finished = 0;  ///< completed or drained out
   std::uint64_t flows_started = 0;
   std::uint64_t flows_completed = 0;
-  std::uint64_t flows_aborted = 0;      ///< gave up after max_retries
+  std::uint64_t flows_aborted = 0;      ///< gave up after 6 retries
   std::uint64_t packets_offered = 0;    ///< datagrams handed to the wire
   std::uint64_t packets_delivered = 0;  ///< credited to a live flow
   std::uint64_t packets_stale = 0;      ///< arrived for a dead/recycled flow
@@ -65,7 +65,7 @@ class WorkloadEngine {
   /// Wire format: flow record index + flow token + datagram seq.
   static constexpr std::size_t kMinPayload = 12;
 
-  /// Binds `config.dst_port` on `dst`; emits from `src`. The hook is
+  /// Binds UDP port 5002 on `dst`; emits from `src`. The hook is
   /// required (and only read) for Scenario::kDdosBurst.
   WorkloadEngine(host::Host& src, host::Host& dst, WorkloadConfig config,
                  std::uint64_t seed, std::optional<DdosHook> ddos = {});

@@ -161,30 +161,6 @@ TEST(Adversary, CompositeFirstSwallowWins) {
   EXPECT_EQ(f.h1.received.size(), 0u);  // modified, then dropped
 }
 
-TEST(Adversary, ScheduledBehaviorOnlyInWindow) {
-  Fixture f;
-  auto inner = std::make_unique<DropBehavior>(match_all());
-  ScheduledBehavior scheduled(
-      std::move(inner),
-      sim::TimePoint::origin() + sim::Duration::milliseconds(10),
-      sim::TimePoint::origin() + sim::Duration::milliseconds(20));
-  f.sw.set_interceptor(&scheduled);
-
-  f.h0.send(0, udp_packet(1, 2));  // t≈0: before the window
-  f.sim.run();
-  EXPECT_EQ(f.h1.received.size(), 1u);
-
-  f.sim.schedule_at(sim::TimePoint::origin() + sim::Duration::milliseconds(15),
-                    [&] { f.h0.send(0, udp_packet(1, 2)); });
-  f.sim.run();
-  EXPECT_EQ(f.h1.received.size(), 1u);  // dropped inside the window
-
-  f.sim.schedule_at(sim::TimePoint::origin() + sim::Duration::milliseconds(30),
-                    [&] { f.h0.send(0, udp_packet(1, 2)); });
-  f.sim.run();
-  EXPECT_EQ(f.h1.received.size(), 2u);  // window over
-}
-
 TEST(Adversary, DosFlooderEmitsAtConfiguredRate) {
   Fixture f;
   DosFlooder::Config config;

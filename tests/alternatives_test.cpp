@@ -177,7 +177,7 @@ host::PingReport inband_ping(topo::InbandCombinerTopology& topo,
 }
 
 TEST(InbandCompare, BenignTrafficBothDirections) {
-  topo::InbandCombinerTopology topo(topo::InbandOptions{});
+  topo::InbandCombinerTopology topo;
   const auto report = inband_ping(topo);
   EXPECT_EQ(report.received, 20);
   EXPECT_EQ(report.duplicates, 0);
@@ -186,7 +186,7 @@ TEST(InbandCompare, BenignTrafficBothDirections) {
 }
 
 TEST(InbandCompare, MasksCorruptingReplica) {
-  topo::InbandCombinerTopology topo(topo::InbandOptions{});
+  topo::InbandCombinerTopology topo;
   adversary::ModifyBehavior modify(adversary::match_all(),
                                    adversary::ModifyBehavior::corrupt_payload());
   topo.replica(0).set_interceptor(&modify);
@@ -198,7 +198,7 @@ TEST(InbandCompare, MasksCorruptingReplica) {
 }
 
 TEST(InbandCompare, MasksDroppingReplica) {
-  topo::InbandCombinerTopology topo(topo::InbandOptions{});
+  topo::InbandCombinerTopology topo;
   adversary::DropBehavior drop(adversary::match_all());
   topo.replica(1).set_interceptor(&drop);
   const auto report = inband_ping(topo);
@@ -208,7 +208,7 @@ TEST(InbandCompare, MasksDroppingReplica) {
 TEST(InbandCompare, DirectReplicaInjectionDroppedAtEdge) {
   // A malicious replica tries to shortcut past the middlebox by sending
   // straight to the egress edge: the edge's drop rules eat it.
-  topo::InbandCombinerTopology topo(topo::InbandOptions{});
+  topo::InbandCombinerTopology topo;
   adversary::RerouteBehavior reroute(
       adversary::match_dl_dst(topo.h2().mac()), /*wrong_port=*/2);  // to eB
   topo.replica(0).set_interceptor(&reroute);
@@ -219,7 +219,7 @@ TEST(InbandCompare, DirectReplicaInjectionDroppedAtEdge) {
 
 TEST(InbandCompare, LowerRttThanOutOfBand) {
   // The point of the inband architecture: no controller round trip.
-  topo::InbandCombinerTopology inband(topo::InbandOptions{});
+  topo::InbandCombinerTopology inband;
   const auto inband_report = inband_ping(inband, 20);
 
   topo::Figure3Topology outofband(

@@ -13,7 +13,6 @@
 #include "host/udp_app.h"
 #include "netco/combiner.h"
 #include "netco/fastpath.h"
-#include "netco/hub.h"
 #include "netco/sampling.h"
 #include "scenario/scenarios.h"
 #include "topo/figure3.h"
@@ -404,42 +403,6 @@ TEST(Combiner, DeadReplicaLinkRaisesInactivityAlarmAndServiceSurvives) {
       inactive_alarm = true;
   }
   EXPECT_TRUE(inactive_alarm);
-}
-
-// --- trusted Hub node --------------------------------------------------------
-
-TEST(Hub, SplitsUpstreamToAllReplicaPorts) {
-  sim::Simulator sim;
-  device::Network net(sim);
-  struct Probe : device::Node {
-    using Node::Node;
-    void handle_packet(device::PortIndex, net::Packet p) override {
-      received.push_back(std::move(p));
-    }
-    std::vector<net::Packet> received;
-  };
-  auto& hub = net.add_node<Hub>("hub");
-  auto& up = net.add_node<Probe>("up");
-  auto& r1 = net.add_node<Probe>("r1");
-  auto& r2 = net.add_node<Probe>("r2");
-  auto& r3 = net.add_node<Probe>("r3");
-  net.connect(hub, up);  // port 0 = upstream
-  net.connect(hub, r1);
-  net.connect(hub, r2);
-  net.connect(hub, r3);
-
-  up.send(0, net::Packet::zeroed(100));
-  sim.run();
-  EXPECT_EQ(r1.received.size(), 1u);
-  EXPECT_EQ(r2.received.size(), 1u);
-  EXPECT_EQ(r3.received.size(), 1u);
-  EXPECT_EQ(up.received.size(), 0u);
-  EXPECT_EQ(hub.split_count(), 1u);
-
-  r2.send(0, net::Packet::zeroed(60));
-  sim.run();
-  EXPECT_EQ(up.received.size(), 1u);
-  EXPECT_EQ(hub.merge_count(), 1u);
 }
 
 }  // namespace

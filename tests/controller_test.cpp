@@ -220,7 +220,7 @@ TEST(StaticRouting, DropRuleSilencesDestination) {
   auto& b = net.add_node<Probe>("b");
   net.connect(sw, a);
   net.connect(sw, b);
-  install_mac_route(sw, net::MacAddress::from_id(2), 1, 10);
+  install_mac_route(sw, net::MacAddress::from_id(2), 1);
   install_mac_drop(sw, net::MacAddress::from_id(2), 20);  // higher priority
   a.send(0, udp_packet(1, 2));
   sim.run();

@@ -298,6 +298,26 @@ TEST(FaultInjector, AppliesLinkAndCacheEventsOnRealTopology) {
   EXPECT_EQ(injector.applied(), plan.events.size());
 }
 
+TEST(FaultInjector, SkippedEventsAreNotCounted) {
+  // No resilience manager and no fat-tree: the injector skips both events
+  // with a log line, so neither may count as applied.
+  topo::Figure3Topology topo(
+      scenario::make_options(scenario::ScenarioKind::kCentral3, 1));
+  FaultPlan plan;
+  plan.events.push_back({sim::Duration::milliseconds(1).ns(),
+                         FaultKind::kFabricLinkCut, -1, 0, 0, 0, 0,
+                         SwapBehavior::kHonest, 0, 10, 2});
+  plan.events.push_back({sim::Duration::milliseconds(2).ns(),
+                         FaultKind::kCompareCrash, -1, 0, 0, 0, 0,
+                         SwapBehavior::kHonest, 0});
+  plan.normalize();
+
+  FaultInjector injector(topo, plan);
+  injector.arm();
+  topo.simulator().run_for(sim::Duration::milliseconds(5));
+  EXPECT_EQ(injector.applied(), 0u);
+}
+
 // --- check_audit ----------------------------------------------------------
 
 /// A hand-built audit of a store holding `entries` consistent entry slots

@@ -1,5 +1,5 @@
 // Unit tests for the replica-health subsystem (src/health) and its hooks
-// in CompareCore and Hub:
+// in CompareCore:
 //
 //   H1  the verdict stream attributes matched/missed/divergent evidence to
 //       the right replica, and stays silent with no sink installed;
@@ -11,18 +11,14 @@
 //       miss threshold, re-arms when the replica reappears, and cannot be
 //       triggered by a quarantined replica;
 //   H5  HealthMonitor scoring: EWMA with hysteresis, saturating signals,
-//       probation readmission, max-quarantines ban, min-live floor;
-//   H6  Hub's dynamic port mask and probe stride, with the metrics
-//       registry as the single source of truth for its counters.
+//       probation readmission, max-quarantines ban, min-live floor.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "device/network.h"
 #include "health/monitor.h"
 #include "net/headers.h"
 #include "netco/compare_core.h"
-#include "netco/hub.h"
 
 namespace netco {
 namespace {
@@ -287,7 +283,7 @@ TEST(HealthMonitor, SustainedDivergenceQuarantines) {
   ASSERT_EQ(actions.size(), 1u);
   EXPECT_EQ(actions[0].kind, health::HealthAction::Kind::kQuarantine);
   EXPECT_EQ(actions[0].replica, 1);
-  EXPECT_GE(actions[0].score, monitor.config().quarantine_threshold);
+  EXPECT_GE(actions[0].score, health::HealthConfig::kQuarantineThreshold);
 }
 
 TEST(HealthMonitor, ColdStartGuardHoldsOffEarlyVerdicts) {
@@ -330,7 +326,7 @@ TEST(HealthMonitor, ProbationReadmitsOnMatchesAndLowScore) {
   const auto actions = monitor.take_actions();
   ASSERT_EQ(actions.size(), 1u);
   EXPECT_EQ(actions[0].kind, health::HealthAction::Kind::kReadmit);
-  EXPECT_LE(actions[0].score, monitor.config().readmit_threshold);
+  EXPECT_LE(actions[0].score, health::HealthConfig::kReadmitThreshold);
   EXPECT_GE(probes, 3);  // at least readmit_probe_matches
 }
 
@@ -378,67 +374,6 @@ TEST(HealthMonitor, MinLiveFloorBlocksLastQuarantines) {
   }
   EXPECT_EQ(monitor.replica(1).state, health::ReplicaState::kLive);
   EXPECT_EQ(monitor.live_replicas(), 2);
-}
-
-// --- H6: Hub mask + registry-backed counters ---------------------------------
-
-struct Probe : device::Node {
-  using Node::Node;
-  void handle_packet(device::PortIndex, net::Packet p) override {
-    received.push_back(std::move(p));
-  }
-  std::vector<net::Packet> received;
-};
-
-TEST(HubMask, MaskedPortExcludedUntilProbeStride) {
-  sim::Simulator sim;
-  device::Network net(sim);
-  auto& hub = net.add_node<core::Hub>("hub-mask");
-  auto& up = net.add_node<Probe>("up");
-  auto& r1 = net.add_node<Probe>("r1");
-  auto& r2 = net.add_node<Probe>("r2");
-  net.connect(hub, up);  // port 0 = upstream
-  net.connect(hub, r1);  // port 1
-  net.connect(hub, r2);  // port 2
-
-  hub.set_port_masked(2, true);
-  EXPECT_TRUE(hub.port_masked(2));
-  hub.set_probe_stride(3);  // every 3rd split trickles to masked ports
-
-  for (int i = 0; i < 6; ++i) up.send(0, net::Packet::zeroed(100));
-  sim.run();
-
-  EXPECT_EQ(r1.received.size(), 6u);  // unmasked: every copy
-  EXPECT_EQ(r2.received.size(), 2u);  // splits 3 and 6 only
-  EXPECT_EQ(hub.split_count(), 6u);
-
-  hub.set_port_masked(2, false);
-  up.send(0, net::Packet::zeroed(100));
-  sim.run();
-  EXPECT_EQ(r2.received.size(), 3u);
-  EXPECT_EQ(hub.split_count(), 7u);
-}
-
-TEST(HubMask, ZeroStrideMeansNoTrickle) {
-  sim::Simulator sim;
-  device::Network net(sim);
-  auto& hub = net.add_node<core::Hub>("hub-nostride");
-  auto& up = net.add_node<Probe>("up");
-  auto& r1 = net.add_node<Probe>("r1");
-  net.connect(hub, up);
-  net.connect(hub, r1);
-
-  hub.set_port_masked(1, true);
-  for (int i = 0; i < 5; ++i) up.send(0, net::Packet::zeroed(50));
-  sim.run();
-  EXPECT_EQ(r1.received.size(), 0u);
-  // The registry counters are the accessors' source of truth: splits are
-  // counted even when every fan-out port is masked.
-  EXPECT_EQ(hub.split_count(), 5u);
-
-  // Masking the upstream port is meaningless and ignored.
-  hub.set_port_masked(0, true);
-  EXPECT_FALSE(hub.port_masked(0));
 }
 
 }  // namespace

@@ -68,5 +68,12 @@ TEST(GoldenTrace, DisabledTracerEmitsNothing) {
   EXPECT_EQ(sink.total_appended(), 0u);
 }
 
+// A trace path that cannot be opened must not silently discard the whole
+// stream (NETCO_TRACE_OUT pointing into a missing directory).
+TEST(JsonlFileSinkDeathTest, UnopenablePathAborts) {
+  EXPECT_DEATH(obs::JsonlFileSink("/nonexistent-dir/trace.jsonl"),
+               "cannot open /nonexistent-dir/trace.jsonl");
+}
+
 }  // namespace
 }  // namespace netco

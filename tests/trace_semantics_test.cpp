@@ -1,6 +1,5 @@
 // Trace-semantics tests: the packet-lifecycle stream emitted by the
-// compare element (and the trusted hub) is a faithful, attributable record
-// of §IV behaviour:
+// compare element is a faithful, attributable record of §IV behaviour:
 //
 //   T1  every ingested packet id ends in exactly one terminal record
 //       (release / evict_timeout / evict_capacity / evict_quota);
@@ -22,7 +21,6 @@
 #include "host/ping.h"
 #include "net/headers.h"
 #include "netco/compare_core.h"
-#include "netco/hub.h"
 #include "obs/observability.h"
 #include "scenario/scenarios.h"
 #include "topo/figure3.h"
@@ -219,47 +217,6 @@ TEST(TraceSemantics, SamePortDuplicateTraced) {
       EXPECT_EQ(record.replica, 1);
     }
   }
-}
-
-// Hub lifecycle records carry the same stable packet id the compare sees.
-TEST(TraceSemantics, HubTracesIngressAndMergeWithStableId) {
-  obs::RingBufferSink sink;
-  obs::ScopedTraceSink guard(sink);
-  sim::Simulator sim;
-  device::Network net(sim);
-  struct Probe : device::Node {
-    using Node::Node;
-    void handle_packet(device::PortIndex, net::Packet) override {}
-  };
-  auto& hub = net.add_node<Hub>("hub0");
-  auto& up = net.add_node<Probe>("up");
-  auto& r1 = net.add_node<Probe>("r1");
-  auto& r2 = net.add_node<Probe>("r2");
-  net.connect(hub, up);  // port 0 = upstream
-  net.connect(hub, r1);
-  net.connect(hub, r2);
-
-  const auto packet = numbered_packet(42);
-  up.send(0, packet);
-  sim.run();
-  r2.send(0, packet);
-  sim.run();
-
-  int ingress = 0, merge = 0;
-  for (const auto& record : sink.records()) {
-    if (record.event == obs::TraceEvent::kHubIngress) {
-      ++ingress;
-      EXPECT_EQ(record.packet_id, packet.content_hash());
-      EXPECT_EQ(record.component, "hub0");
-    }
-    if (record.event == obs::TraceEvent::kHubMerge) {
-      ++merge;
-      EXPECT_EQ(record.packet_id, packet.content_hash());
-      EXPECT_EQ(record.replica, 1);  // came back via port 2 → replica 1
-    }
-  }
-  EXPECT_EQ(ingress, 1);
-  EXPECT_EQ(merge, 1);
 }
 
 // T5 — §IV cases via an adversary driver: a modifying replica's copies die
