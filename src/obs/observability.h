@@ -53,8 +53,9 @@ class ScopedTraceSink {
 };
 
 /// Builds a JSONL file sink from the NETCO_TRACE_OUT environment variable;
-/// nullptr when the variable is unset (tracing stays disabled). The caller
-/// owns the sink and must install it on global().tracer.
+/// nullptr when the variable is unset (tracing stays disabled). A path
+/// that cannot be opened aborts (see JsonlFileSink). The caller owns the
+/// sink and must install it on global().tracer.
 [[nodiscard]] std::unique_ptr<JsonlFileSink> trace_sink_from_env();
 
 }  // namespace netco::obs
