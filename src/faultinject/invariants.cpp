@@ -102,7 +102,6 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
   ++records_;
   const std::string line = obs::to_json(record) + '\n';
   hash_ = fnv1a(std::as_bytes(std::span(line.data(), line.size())), hash_);
-  if (tee_ != nullptr) tee_->append(record);
 
   switch (record.event) {
     case obs::TraceEvent::kCompareIngest:

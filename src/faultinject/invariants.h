@@ -11,10 +11,10 @@
 //  * QuorumTraceChecker validates the *protocol* from the trace stream:
 //    every compare.release must be preceded by ingests from a strict
 //    majority of replicas (or at least one in kFirstCopy detection mode).
-//    It sits in the trace path as a TraceSink, optionally teeing to a
-//    downstream sink, and folds every record into an FNV-1a stream hash —
-//    the determinism fingerprint the soak byte-compares across same-seed
-//    runs without buffering millions of records.
+//    It sits in the trace path as a TraceSink and folds every record into
+//    an FNV-1a stream hash — the determinism fingerprint the soak
+//    byte-compares across same-seed runs without buffering millions of
+//    records.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +88,7 @@ class QuorumTraceChecker final : public obs::TraceSink {
     bool audit_reroutes = false;
   };
 
-  explicit QuorumTraceChecker(Config config, obs::TraceSink* tee = nullptr)
-      : config_(config), tee_(tee) {}
+  explicit QuorumTraceChecker(Config config) : config_(config) {}
 
   void append(const obs::TraceRecord& record) override;
 
@@ -125,7 +124,6 @@ class QuorumTraceChecker final : public obs::TraceSink {
 
  private:
   Config config_;
-  obs::TraceSink* tee_;
   InvariantReport report_;
   std::uint64_t records_ = 0;
   std::uint64_t releases_ = 0;

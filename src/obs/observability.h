@@ -36,13 +36,15 @@ struct Observability {
 void set_current(Observability* context) noexcept;
 
 /// Installs `sink` on the current context's tracer for the current scope,
-/// restoring the previous sink (usually none) on destruction.
+/// restoring the previous sink (usually none) on destruction. A null sink
+/// turns tracing off for the scope.
 class ScopedTraceSink {
  public:
-  explicit ScopedTraceSink(TraceSink& sink) noexcept
+  explicit ScopedTraceSink(TraceSink* sink) noexcept
       : previous_(global().tracer.sink()) {
-    global().tracer.set_sink(&sink);
+    global().tracer.set_sink(sink);
   }
+  explicit ScopedTraceSink(TraceSink& sink) noexcept : ScopedTraceSink(&sink) {}
   ~ScopedTraceSink() { global().tracer.set_sink(previous_); }
 
   ScopedTraceSink(const ScopedTraceSink&) = delete;

@@ -97,6 +97,22 @@ class TraceSink {
   virtual void append(const TraceRecord& record) = 0;
 };
 
+/// Forwards every record to two sinks, first then second.
+class TeeSink final : public TraceSink {
+ public:
+  TeeSink(TraceSink& first, TraceSink& second) noexcept
+      : first_(first), second_(second) {}
+
+  void append(const TraceRecord& record) override {
+    first_.append(record);
+    second_.append(record);
+  }
+
+ private:
+  TraceSink& first_;
+  TraceSink& second_;
+};
+
 /// Bounded in-memory sink for tests: keeps the newest `capacity` records.
 class RingBufferSink final : public TraceSink {
  public:

@@ -5,7 +5,8 @@
 // routing-convergence diamond — that exposes its event program as a
 // window protocol:
 //
-//   C(const Options&)   builds everything; emits no trace records
+//   C(const Options&)   builds everything, with tracing off: a record
+//                       emitted while building reaches no sink
 //   simulator()         its event loop
 //   trace_sink()        where its trace records must go (its checker)
 //   start()             arms traffic and faults; returns the first cap
@@ -88,19 +89,29 @@ template <class Result>
 /// Runs one circuit on the calling thread, in that thread's current
 /// observability context: resets its metrics registry first (the snapshot
 /// a result carries belongs to this run alone) and routes the circuit's
-/// records to trace_sink() while it runs.
+/// records to trace_sink() while it runs. A sink installed before the
+/// call (a bench's NETCO_TRACE_OUT file, a test's ring) receives every
+/// record trace_sink() receives.
 template <Circuit C, class Options>
 CircuitResult<C> run_circuit(const Options& options) {
   obs::global().metrics.reset();
-  C circuit(options);
-  obs::ScopedTraceSink scoped(circuit.trace_sink());
-  sim::TimePoint cap = circuit.start();
-  while (cap != sim::ShardCell::done_marker()) {
-    circuit.simulator().run_until(cap);
-    cap = circuit.on_window(cap);
+  obs::TraceSink* outer = obs::global().tracer.sink();
+  std::optional<C> circuit;
+  {
+    obs::ScopedTraceSink untraced(nullptr);
+    circuit.emplace(options);
   }
-  circuit.finalize();
-  return circuit.take_result();
+  std::optional<obs::TeeSink> tee;
+  if (outer != nullptr) tee.emplace(circuit->trace_sink(), *outer);
+  obs::ScopedTraceSink scoped(tee ? static_cast<obs::TraceSink&>(*tee)
+                                  : circuit->trace_sink());
+  sim::TimePoint cap = circuit->start();
+  while (cap != sim::ShardCell::done_marker()) {
+    circuit->simulator().run_until(cap);
+    cap = circuit->on_window(cap);
+  }
+  circuit->finalize();
+  return circuit->take_result();
 }
 
 namespace detail {

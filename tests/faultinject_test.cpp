@@ -444,14 +444,6 @@ TEST(QuorumTraceChecker, StreamHashDeterministicAndOrderSensitive) {
   EXPECT_NE(a.stream_hash(), c.stream_hash());
 }
 
-TEST(QuorumTraceChecker, TeesToDownstreamSink) {
-  obs::RingBufferSink downstream;
-  QuorumTraceChecker checker({.quorum = 2}, &downstream);
-  checker.append(record(obs::TraceEvent::kCompareIngest, 1, 0));
-  EXPECT_EQ(downstream.records().size(), 1u);
-  EXPECT_EQ(checker.records_seen(), 1u);
-}
-
 // --- §XII: fast-path releases and the weighted vote cache ------------------
 
 TEST(QuorumTraceChecker, FastpathReleaseCountsItsOwnVote) {

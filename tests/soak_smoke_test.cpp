@@ -3,6 +3,7 @@
 // under the same seed. The full-length version lives in bench/soak_netco.
 #include <gtest/gtest.h>
 
+#include "obs/observability.h"
 #include "scenario/soak.h"
 
 namespace netco::scenario {
@@ -28,6 +29,21 @@ TEST(SoakSmoke, ShortRunHoldsInvariantsUnderFaults) {
   EXPECT_GT(result.fault_events_applied, 0u);  // the plan actually ran
   EXPECT_GT(result.audits, 0u);
   EXPECT_GT(result.invariants.checks, 0u);
+}
+
+TEST(CircuitRunner, ForwardsRecordsToTheSinkInstalledBeforeIt) {
+  // A bench's NETCO_TRACE_OUT file or a test's ring, installed around a
+  // harness run, sees every record the run's checker sees.
+  SoakOptions options = smoke_options();
+  options.packets = 500;
+  obs::RingBufferSink ring;
+  SoakResult result;
+  {
+    obs::ScopedTraceSink scoped(ring);
+    result = run_soak(options);
+  }
+  EXPECT_GT(result.trace_records, 0u);
+  EXPECT_EQ(ring.total_appended(), result.trace_records);
 }
 
 TEST(SoakSmoke, SameSeedIsBitReproducible) {
