@@ -13,19 +13,24 @@
 //    releases, never *what* is released.
 #include <gtest/gtest.h>
 
+#include "golden_hashes.h"
 #include "scenario/soak.h"
 
 namespace netco::scenario {
 namespace {
 
-// Golden stream hashes of the tier-1 smoke configurations, captured
-// before the sampled fast path landed. These pin "sampling off ⇒ no
-// behaviour change" at the strongest granularity we have: the FNV-1a of
-// every canonical-JSON trace record in event order.
-constexpr std::uint64_t kGoldenK3Majority = 0x185eeac979187253ULL;
-constexpr std::uint64_t kGoldenK2FirstCopy = 0x792f19c6d8bdabc4ULL;
-constexpr std::uint64_t kGoldenK3Health = 0x3e1e67be7af87240ULL;
-constexpr std::uint64_t kGoldenK5Benign = 0xa5aa2967e409d7a7ULL;
+// Golden hashes of the tier-1 smoke configurations, captured before the
+// sampled fast path landed. These pin "sampling off ⇒ no behaviour
+// change" at the strongest granularity we have: every trace record in
+// event order (golden_hashes.h).
+constexpr golden::Hashes kGoldenK3Majority{.text = 0x185eeac979187253ULL,
+                                           .stream = 0x185eeac979187253ULL};
+constexpr golden::Hashes kGoldenK2FirstCopy{.text = 0x792f19c6d8bdabc4ULL,
+                                            .stream = 0x792f19c6d8bdabc4ULL};
+constexpr golden::Hashes kGoldenK3Health{.text = 0x3e1e67be7af87240ULL,
+                                         .stream = 0x3e1e67be7af87240ULL};
+constexpr golden::Hashes kGoldenK5Benign{.text = 0xa5aa2967e409d7a7ULL,
+                                         .stream = 0xa5aa2967e409d7a7ULL};
 
 SoakOptions faulted_options(int k, core::ReleasePolicy policy,
                             std::uint64_t seed) {
@@ -40,7 +45,8 @@ SoakOptions faulted_options(int k, core::ReleasePolicy policy,
 /// Benign k=5 run: health loop on, no fault plan. The one configuration
 /// where full and sampled verification must be observationally identical
 /// on the wire. Its sampled golden pins the fast path's stream.
-constexpr std::uint64_t kGoldenK5BenignSampled = 0xf0ebca425680fa88ULL;
+constexpr golden::Hashes kGoldenK5BenignSampled{
+    .text = 0xf0ebca425680fa88ULL, .stream = 0xf0ebca425680fa88ULL};
 SoakOptions benign_options(bool sampled) {
   SoakOptions options;
   options.k = 5;
@@ -57,8 +63,10 @@ SoakOptions benign_options(bool sampled) {
 /// goldens pin the compare's sampled bookkeeping: these two runs reach
 /// vote-slot capacity eviction, release-tombstone hits and full-cache
 /// cleanup passes.
-constexpr std::uint64_t kGoldenK3Sampled = 0x7260c6b360514424ULL;
-constexpr std::uint64_t kGoldenK5Sampled = 0x3cc1396892e0d03fULL;
+constexpr golden::Hashes kGoldenK3Sampled{.text = 0x7260c6b360514424ULL,
+                                          .stream = 0x7260c6b360514424ULL};
+constexpr golden::Hashes kGoldenK5Sampled{.text = 0x3cc1396892e0d03fULL,
+                                          .stream = 0x3cc1396892e0d03fULL};
 SoakOptions sampled_faulted_options(int k, std::uint64_t seed) {
   SoakOptions options = faulted_options(k, core::ReleasePolicy::kMajority, seed);
   options.health.enabled = true;
@@ -67,41 +75,43 @@ SoakOptions sampled_faulted_options(int k, std::uint64_t seed) {
 }
 
 TEST(CompareDifferential, FullVerifyReproducesGoldenStreamHashes) {
-  const SoakResult k3 = run_soak(
-      faulted_options(3, core::ReleasePolicy::kMajority, 77));
+  const SoakResult k3 =
+      golden::run_golden(kGoldenK3Majority, "k3-majority full-verify", [] {
+        return run_soak(
+            faulted_options(3, core::ReleasePolicy::kMajority, 77));
+      });
   EXPECT_TRUE(k3.ok());
-  EXPECT_EQ(k3.stream_hash, kGoldenK3Majority)
-      << "k3-majority full-verify trace stream drifted from its golden";
 
-  const SoakResult k2 = run_soak(
-      faulted_options(2, core::ReleasePolicy::kFirstCopy, 101));
+  const SoakResult k2 =
+      golden::run_golden(kGoldenK2FirstCopy, "k2-firstcopy full-verify", [] {
+        return run_soak(
+            faulted_options(2, core::ReleasePolicy::kFirstCopy, 101));
+      });
   EXPECT_TRUE(k2.ok());
-  EXPECT_EQ(k2.stream_hash, kGoldenK2FirstCopy)
-      << "k2-firstcopy full-verify trace stream drifted from its golden";
 
   SoakOptions health = faulted_options(3, core::ReleasePolicy::kMajority, 77);
   health.health.enabled = true;
-  const SoakResult k3h = run_soak(health);
+  const SoakResult k3h =
+      golden::run_golden(kGoldenK3Health, "k3-health full-verify",
+                         [&] { return run_soak(health); });
   EXPECT_TRUE(k3h.ok());
-  EXPECT_EQ(k3h.stream_hash, kGoldenK3Health)
-      << "k3-health full-verify trace stream drifted from its golden";
 
-  const SoakResult k5 = run_soak(benign_options(false));
+  const SoakResult k5 =
+      golden::run_golden(kGoldenK5Benign, "benign k5 full-verify",
+                         [] { return run_soak(benign_options(false)); });
   EXPECT_TRUE(k5.ok());
-  EXPECT_EQ(k5.stream_hash, kGoldenK5Benign)
-      << "benign k5 full-verify trace stream drifted from its golden";
 }
 
 TEST(CompareDifferential, SampledRunsReproduceGoldenStreamHashes) {
-  const SoakResult k3 = run_soak(sampled_faulted_options(3, 77));
+  const SoakResult k3 = golden::run_golden(kGoldenK3Sampled, "k3 sampled", [] {
+    return run_soak(sampled_faulted_options(3, 77));
+  });
   EXPECT_TRUE(k3.ok()) << "violations=" << k3.invariants.violations;
-  EXPECT_EQ(k3.stream_hash, kGoldenK3Sampled)
-      << "k3 sampled trace stream drifted from its golden";
 
-  const SoakResult k5 = run_soak(sampled_faulted_options(5, 78));
+  const SoakResult k5 = golden::run_golden(kGoldenK5Sampled, "k5 sampled", [] {
+    return run_soak(sampled_faulted_options(5, 78));
+  });
   EXPECT_TRUE(k5.ok()) << "violations=" << k5.invariants.violations;
-  EXPECT_EQ(k5.stream_hash, kGoldenK5Sampled)
-      << "k5 sampled trace stream drifted from its golden";
 }
 
 TEST(CompareDifferential, BenignSampledEgressSetMatchesFullVerify) {
@@ -131,10 +141,10 @@ TEST(CompareDifferential, BenignSampledEgressSetMatchesFullVerify) {
 }
 
 TEST(CompareDifferential, SampledRunIsBitReproducible) {
-  const SoakResult a = run_soak(benign_options(true));
+  const SoakResult a =
+      golden::run_golden(kGoldenK5BenignSampled, "benign k5 sampled",
+                         [] { return run_soak(benign_options(true)); });
   const SoakResult b = run_soak(benign_options(true));
-  EXPECT_EQ(a.stream_hash, kGoldenK5BenignSampled)
-      << "benign k5 sampled trace stream drifted from its golden";
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   EXPECT_EQ(a.egress_set_hash, b.egress_set_hash);
   EXPECT_EQ(a.trace_records, b.trace_records);

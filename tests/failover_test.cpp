@@ -8,6 +8,7 @@
 #include "failover/failover_compiler.h"
 #include "faultinject/fabric_injector.h"
 #include "faultinject/invariants.h"
+#include "golden_hashes.h"
 #include "openflow/flow_table.h"
 #include "scenario/failover.h"
 #include "topo/fattree.h"
@@ -206,10 +207,11 @@ TEST(FailoverE2ETest, SingleLinkCutAbsorbedByStaticRules) {
   scenario::FailoverOptions options = quick_options();
   options.link_cuts = 1;
   options.target = faultinject::KillTarget::kPrimaryPath;
-  constexpr std::uint64_t kGoldenSingleLinkCut = 0x49a0eb906635fcefULL;
-  const auto r = scenario::run_failover(options);
-  EXPECT_EQ(r.stream_hash, kGoldenSingleLinkCut)
-      << "single-cut trace stream drifted from its golden";
+  constexpr golden::Hashes kGoldenSingleLinkCut{
+      .text = 0x49a0eb906635fcefULL, .stream = 0x49a0eb906635fcefULL};
+  const auto r = golden::run_golden(kGoldenSingleLinkCut, "single-cut", [&] {
+    return scenario::run_failover(options);
+  });
   EXPECT_EQ(r.fault_events, 1u);
   EXPECT_TRUE(r.recovered);
   EXPECT_TRUE(r.absorbed);
@@ -248,10 +250,11 @@ TEST(FailoverE2ETest, DownPathCutTakesVlanDetourWithoutLooping) {
   cut.node = scratch.agg_sid(1, 0);
   cut.peer = scratch.edge_sid(1, 0);
   options.plan.events.push_back(cut);
-  constexpr std::uint64_t kGoldenDownPathCut = 0x12c4b8a29d82682cULL;
-  const auto r = scenario::run_failover(options);
-  EXPECT_EQ(r.stream_hash, kGoldenDownPathCut)
-      << "down-path detour trace stream drifted from its golden";
+  constexpr golden::Hashes kGoldenDownPathCut{.text = 0x12c4b8a29d82682cULL,
+                                              .stream = 0x12c4b8a29d82682cULL};
+  const auto r =
+      golden::run_golden(kGoldenDownPathCut, "down-path detour",
+                         [&] { return scenario::run_failover(options); });
   EXPECT_EQ(r.fault_events, 1u);
   EXPECT_TRUE(r.absorbed);
   EXPECT_GT(r.checker_reroutes, 0u);

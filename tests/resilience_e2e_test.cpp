@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "golden_hashes.h"
 #include "scenario/soak.h"
 
 namespace netco::scenario {
@@ -20,7 +21,8 @@ namespace {
 /// plus promotion always beats the crash's scheduled warm restart — the
 /// restart then finds the old primary fenced and leaves it retired. The
 /// golden pins failover_options(3, 501)'s stream.
-constexpr std::uint64_t kGoldenFailoverK3 = 0xfc2fcc985fcce09cULL;
+constexpr golden::Hashes kGoldenFailoverK3{.text = 0xfc2fcc985fcce09cULL,
+                                           .stream = 0xfc2fcc985fcce09cULL};
 SoakOptions failover_options(int k, std::uint64_t seed) {
   SoakOptions options;
   options.k = k;
@@ -77,10 +79,10 @@ void expect_clean_failover(const SoakResult& r) {
 }
 
 TEST(ResilienceE2E, CompareCrashFailsOverK3) {
-  const SoakResult result = run_soak(failover_options(3, 501));
+  const SoakResult result = golden::run_golden(
+      kGoldenFailoverK3, "k3 failover",
+      [] { return run_soak(failover_options(3, 501)); });
   expect_clean_failover(result);
-  EXPECT_EQ(result.stream_hash, kGoldenFailoverK3)
-      << "k3 failover trace stream drifted from its golden";
 }
 
 TEST(ResilienceE2E, CompareCrashFailsOverK5) {
@@ -118,15 +120,15 @@ TEST(ResilienceE2E, WarmRestartRecoversWithoutStandby) {
        .kind = faultinject::FaultKind::kCompareCrash,
        .duration_ns = sim::Duration::milliseconds(80).ns()});
   options.plan.normalize();
-  constexpr std::uint64_t kGoldenWarmRestart = 0xe87c799c4e97c2b6ULL;
+  constexpr golden::Hashes kGoldenWarmRestart{.text = 0xe87c799c4e97c2b6ULL,
+                                              .stream = 0xe87c799c4e97c2b6ULL};
 
-  const SoakResult r = run_soak(options);
+  const SoakResult r = golden::run_golden(
+      kGoldenWarmRestart, "warm-restart", [&] { return run_soak(options); });
   EXPECT_TRUE(r.ok()) << "violations=" << r.invariants.violations;
   for (const auto& detail : r.invariants.details) {
     ADD_FAILURE() << detail;
   }
-  EXPECT_EQ(r.stream_hash, kGoldenWarmRestart)
-      << "warm-restart trace stream drifted from its golden";
   EXPECT_EQ(r.duplicate_egress, 0u);
   EXPECT_EQ(r.resilience_failovers, 0u);      // nobody to fail over to
   EXPECT_EQ(r.resilience_degraded_entries, 1u);  // declared dead meanwhile
@@ -188,15 +190,25 @@ TEST(ResilienceE2E, DegradedPoliciesBehaveAsSpecified) {
     return run_soak(options);
   };
 
-  constexpr std::uint64_t kGoldenFailClosed = 0x5f148c27f272b943ULL;
-  constexpr std::uint64_t kGoldenFailOpenSingle = 0x970ab839de039500ULL;
-  constexpr std::uint64_t kGoldenFailStatic = 0x1b3aa2e20b807118ULL;
+  constexpr golden::Hashes kGoldenFailClosed{.text = 0x5f148c27f272b943ULL,
+                                             .stream = 0x5f148c27f272b943ULL};
+  constexpr golden::Hashes kGoldenFailOpenSingle{
+      .text = 0x970ab839de039500ULL, .stream = 0x970ab839de039500ULL};
+  constexpr golden::Hashes kGoldenFailStatic{.text = 0x1b3aa2e20b807118ULL,
+                                             .stream = 0x1b3aa2e20b807118ULL};
 
-  const SoakResult closed = run_policy(resilience::DegradedPolicy::kFailClosed);
+  const SoakResult closed =
+      golden::run_golden(kGoldenFailClosed, "fail_closed", [&] {
+        return run_policy(resilience::DegradedPolicy::kFailClosed);
+      });
   const SoakResult open =
-      run_policy(resilience::DegradedPolicy::kFailOpenSingle);
+      golden::run_golden(kGoldenFailOpenSingle, "fail_open_single", [&] {
+        return run_policy(resilience::DegradedPolicy::kFailOpenSingle);
+      });
   const SoakResult fstatic =
-      run_policy(resilience::DegradedPolicy::kFailStatic);
+      golden::run_golden(kGoldenFailStatic, "fail_static", [&] {
+        return run_policy(resilience::DegradedPolicy::kFailStatic);
+      });
 
   for (const SoakResult* r : {&closed, &open, &fstatic}) {
     EXPECT_TRUE(r->ok()) << "violations=" << r->invariants.violations;
@@ -204,12 +216,6 @@ TEST(ResilienceE2E, DegradedPoliciesBehaveAsSpecified) {
     EXPECT_EQ(r->resilience_failovers, 0u);
     EXPECT_EQ(r->resilience_degraded_entries, 1u);
   }
-  EXPECT_EQ(closed.stream_hash, kGoldenFailClosed)
-      << "fail_closed trace stream drifted from its golden";
-  EXPECT_EQ(open.stream_hash, kGoldenFailOpenSingle)
-      << "fail_open_single trace stream drifted from its golden";
-  EXPECT_EQ(fstatic.stream_hash, kGoldenFailStatic)
-      << "fail_static trace stream drifted from its golden";
 
   // fail_closed: safety over availability — everything after the crash
   // punts into the dead process and drops.

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "golden_hashes.h"
 #include "scenario/convergence.h"
 
 namespace netco::scenario {
@@ -48,24 +49,26 @@ TEST(RoutingConvergence, OneLiarDefeatsUnprotectedButNotCombiner) {
   ConvergenceOptions options = quick_options();
   options.liars = 1;
   options.attack = RoutingAttack::kInflate;
-  constexpr std::uint64_t kGoldenInflateCombiner = 0x431146bf16922fd2ULL;
-  constexpr std::uint64_t kGoldenInflateUnprotected = 0x0ea5f6df1ecd9d15ULL;
+  constexpr golden::Hashes kGoldenInflateCombiner{
+      .text = 0x431146bf16922fd2ULL, .stream = 0x431146bf16922fd2ULL};
+  constexpr golden::Hashes kGoldenInflateUnprotected{
+      .text = 0x0ea5f6df1ecd9d15ULL, .stream = 0x0ea5f6df1ecd9d15ULL};
 
   options.use_combiner = true;
-  const ConvergenceResult protected_run = run_convergence(options);
+  const ConvergenceResult protected_run = golden::run_golden(
+      kGoldenInflateCombiner, "combiner",
+      [&] { return run_convergence(options); });
   EXPECT_TRUE(protected_run.converged_correct)
       << "2 honest replicas out-vote the liar in a k=3 quorum";
   EXPECT_GE(protected_run.convergence_ns, 0);
   EXPECT_EQ(protected_run.invariant_violations, 0u);
-  EXPECT_EQ(protected_run.stream_hash, kGoldenInflateCombiner)
-      << "combiner trace stream drifted from its golden";
 
   options.use_combiner = false;
-  const ConvergenceResult unprotected_run = run_convergence(options);
+  const ConvergenceResult unprotected_run = golden::run_golden(
+      kGoldenInflateUnprotected, "unprotected",
+      [&] { return run_convergence(options); });
   EXPECT_FALSE(unprotected_run.converged_correct)
       << "a single lying switch owns the unprotected position";
-  EXPECT_EQ(unprotected_run.stream_hash, kGoldenInflateUnprotected)
-      << "unprotected trace stream drifted from its golden";
 }
 
 TEST(RoutingConvergence, TwoIdenticalLiarsOutvoteK3Quorum) {

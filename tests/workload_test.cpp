@@ -5,6 +5,7 @@
 
 #include <cstdint>
 
+#include "golden_hashes.h"
 #include "scenario/workload.h"
 #include "workload/flow_pool.h"
 
@@ -45,9 +46,12 @@ TEST(WorkloadPool, AcquireReleaseRecyclesWithoutAllocating) {
 /// Golden stream hashes of three runs built from workload_options below:
 /// the flash crowd and the diurnal ramp at the default seed, and the DDoS
 /// burst at seed 99. Between them they read every WorkloadConfig setting.
-constexpr std::uint64_t kGoldenFlashCrowd = 0x9eab4b04c35116ebULL;
-constexpr std::uint64_t kGoldenDiurnal = 0x52be7a58ead90c5aULL;
-constexpr std::uint64_t kGoldenDdosBurst = 0x49fd5f927df6ba6fULL;
+constexpr golden::Hashes kGoldenFlashCrowd{.text = 0x9eab4b04c35116ebULL,
+                                           .stream = 0x9eab4b04c35116ebULL};
+constexpr golden::Hashes kGoldenDiurnal{.text = 0x52be7a58ead90c5aULL,
+                                        .stream = 0x52be7a58ead90c5aULL};
+constexpr golden::Hashes kGoldenDdosBurst{.text = 0x49fd5f927df6ba6fULL,
+                                          .stream = 0x49fd5f927df6ba6fULL};
 SoakOptions workload_options(workload::Scenario scenario,
                              std::uint64_t seed = 4242) {
   SoakOptions options;
@@ -91,11 +95,10 @@ TEST(WorkloadSmoke, SteadyRunCompletesFlowsAndHoldsInvariants) {
 TEST(WorkloadSmoke, SameSeedIsBitReproducible) {
   const SoakOptions options =
       workload_options(workload::Scenario::kFlashCrowd);
-  const SoakResult a = run_soak(options);
+  const SoakResult a = golden::run_golden(kGoldenFlashCrowd, "flash-crowd",
+                                          [&] { return run_soak(options); });
   const SoakResult b = run_soak(options);
   EXPECT_TRUE(a.ok()) << "violations=" << a.invariants.violations;
-  EXPECT_EQ(a.stream_hash, kGoldenFlashCrowd)
-      << "flash-crowd trace stream drifted from its golden";
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   EXPECT_EQ(a.trace_records, b.trace_records);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
@@ -106,10 +109,9 @@ TEST(WorkloadSmoke, SameSeedIsBitReproducible) {
 
 TEST(WorkloadSmoke, DiurnalRampShapesArrivals) {
   SoakOptions options = workload_options(workload::Scenario::kDiurnal);
-  const SoakResult result = run_soak(options);
+  const SoakResult result = golden::run_golden(
+      kGoldenDiurnal, "diurnal", [&] { return run_soak(options); });
   EXPECT_TRUE(result.ok()) << "violations=" << result.invariants.violations;
-  EXPECT_EQ(result.stream_hash, kGoldenDiurnal)
-      << "diurnal trace stream drifted from its golden";
   EXPECT_GT(result.wl_sessions_started, 10u);
   EXPECT_GT(result.wl_flows_completed, 0u);
 }
@@ -131,10 +133,9 @@ TEST(WorkloadSmoke, DdosBurstFloodsOneReplicaAndStillDrains) {
 TEST(WorkloadSmoke, DdosBurstIsBitReproducible) {
   const SoakOptions options =
       workload_options(workload::Scenario::kDdosBurst, 99);
-  const SoakResult a = run_soak(options);
+  const SoakResult a = golden::run_golden(kGoldenDdosBurst, "DDoS-burst",
+                                          [&] { return run_soak(options); });
   const SoakResult b = run_soak(options);
-  EXPECT_EQ(a.stream_hash, kGoldenDdosBurst)
-      << "DDoS-burst trace stream drifted from its golden";
   EXPECT_EQ(a.stream_hash, b.stream_hash);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.wl_ddos_emitted, b.wl_ddos_emitted);
