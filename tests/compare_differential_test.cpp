@@ -24,13 +24,13 @@ namespace {
 // change" at the strongest granularity we have: every trace record in
 // event order (golden_hashes.h).
 constexpr golden::Hashes kGoldenK3Majority{.text = 0x185eeac979187253ULL,
-                                           .stream = 0x185eeac979187253ULL};
+                                           .stream = 0xd68c07e91afe969cULL};
 constexpr golden::Hashes kGoldenK2FirstCopy{.text = 0x792f19c6d8bdabc4ULL,
-                                            .stream = 0x792f19c6d8bdabc4ULL};
+                                            .stream = 0x3d33a18b588a4284ULL};
 constexpr golden::Hashes kGoldenK3Health{.text = 0x3e1e67be7af87240ULL,
-                                         .stream = 0x3e1e67be7af87240ULL};
+                                         .stream = 0x6246997580002c70ULL};
 constexpr golden::Hashes kGoldenK5Benign{.text = 0xa5aa2967e409d7a7ULL,
-                                         .stream = 0xa5aa2967e409d7a7ULL};
+                                         .stream = 0xf8bacab5eea73ef8ULL};
 
 SoakOptions faulted_options(int k, core::ReleasePolicy policy,
                             std::uint64_t seed) {
@@ -46,7 +46,7 @@ SoakOptions faulted_options(int k, core::ReleasePolicy policy,
 /// where full and sampled verification must be observationally identical
 /// on the wire. Its sampled golden pins the fast path's stream.
 constexpr golden::Hashes kGoldenK5BenignSampled{
-    .text = 0xf0ebca425680fa88ULL, .stream = 0xf0ebca425680fa88ULL};
+    .text = 0xf0ebca425680fa88ULL, .stream = 0x5eaad9ca7992af4eULL};
 SoakOptions benign_options(bool sampled) {
   SoakOptions options;
   options.k = 5;
@@ -64,9 +64,9 @@ SoakOptions benign_options(bool sampled) {
 /// vote-slot capacity eviction, release-tombstone hits and full-cache
 /// cleanup passes.
 constexpr golden::Hashes kGoldenK3Sampled{.text = 0x7260c6b360514424ULL,
-                                          .stream = 0x7260c6b360514424ULL};
+                                          .stream = 0x2c03c8f8b078a129ULL};
 constexpr golden::Hashes kGoldenK5Sampled{.text = 0x3cc1396892e0d03fULL,
-                                          .stream = 0x3cc1396892e0d03fULL};
+                                          .stream = 0x45fe5fc8674b8c76ULL};
 SoakOptions sampled_faulted_options(int k, std::uint64_t seed) {
   SoakOptions options = faulted_options(k, core::ReleasePolicy::kMajority, seed);
   options.health.enabled = true;

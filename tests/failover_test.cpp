@@ -208,7 +208,7 @@ TEST(FailoverE2ETest, SingleLinkCutAbsorbedByStaticRules) {
   options.link_cuts = 1;
   options.target = faultinject::KillTarget::kPrimaryPath;
   constexpr golden::Hashes kGoldenSingleLinkCut{
-      .text = 0x49a0eb906635fcefULL, .stream = 0x49a0eb906635fcefULL};
+      .text = 0x49a0eb906635fcefULL, .stream = 0x02ceac08602963afULL};
   const auto r = golden::run_golden(kGoldenSingleLinkCut, "single-cut", [&] {
     return scenario::run_failover(options);
   });
@@ -251,7 +251,7 @@ TEST(FailoverE2ETest, DownPathCutTakesVlanDetourWithoutLooping) {
   cut.peer = scratch.edge_sid(1, 0);
   options.plan.events.push_back(cut);
   constexpr golden::Hashes kGoldenDownPathCut{.text = 0x12c4b8a29d82682cULL,
-                                              .stream = 0x12c4b8a29d82682cULL};
+                                              .stream = 0x6cfa36a1c7f0fb34ULL};
   const auto r =
       golden::run_golden(kGoldenDownPathCut, "down-path detour",
                          [&] { return scenario::run_failover(options); });

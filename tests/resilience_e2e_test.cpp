@@ -22,7 +22,7 @@ namespace {
 /// restart then finds the old primary fenced and leaves it retired. The
 /// golden pins failover_options(3, 501)'s stream.
 constexpr golden::Hashes kGoldenFailoverK3{.text = 0xfc2fcc985fcce09cULL,
-                                           .stream = 0xfc2fcc985fcce09cULL};
+                                           .stream = 0x3f36664db4b3de71ULL};
 SoakOptions failover_options(int k, std::uint64_t seed) {
   SoakOptions options;
   options.k = k;
@@ -121,7 +121,7 @@ TEST(ResilienceE2E, WarmRestartRecoversWithoutStandby) {
        .duration_ns = sim::Duration::milliseconds(80).ns()});
   options.plan.normalize();
   constexpr golden::Hashes kGoldenWarmRestart{.text = 0xe87c799c4e97c2b6ULL,
-                                              .stream = 0xe87c799c4e97c2b6ULL};
+                                              .stream = 0xa05d3dcf42adb6b5ULL};
 
   const SoakResult r = golden::run_golden(
       kGoldenWarmRestart, "warm-restart", [&] { return run_soak(options); });
@@ -191,11 +191,11 @@ TEST(ResilienceE2E, DegradedPoliciesBehaveAsSpecified) {
   };
 
   constexpr golden::Hashes kGoldenFailClosed{.text = 0x5f148c27f272b943ULL,
-                                             .stream = 0x5f148c27f272b943ULL};
+                                             .stream = 0xead0d23ba2a035a1ULL};
   constexpr golden::Hashes kGoldenFailOpenSingle{
-      .text = 0x970ab839de039500ULL, .stream = 0x970ab839de039500ULL};
+      .text = 0x970ab839de039500ULL, .stream = 0x77530ae7ff3f9eecULL};
   constexpr golden::Hashes kGoldenFailStatic{.text = 0x1b3aa2e20b807118ULL,
-                                             .stream = 0x1b3aa2e20b807118ULL};
+                                             .stream = 0x9a83e5fbb5512d96ULL};
 
   const SoakResult closed =
       golden::run_golden(kGoldenFailClosed, "fail_closed", [&] {

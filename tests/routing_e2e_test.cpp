@@ -50,9 +50,9 @@ TEST(RoutingConvergence, OneLiarDefeatsUnprotectedButNotCombiner) {
   options.liars = 1;
   options.attack = RoutingAttack::kInflate;
   constexpr golden::Hashes kGoldenInflateCombiner{
-      .text = 0x431146bf16922fd2ULL, .stream = 0x431146bf16922fd2ULL};
+      .text = 0x431146bf16922fd2ULL, .stream = 0x5c1968c029868f09ULL};
   constexpr golden::Hashes kGoldenInflateUnprotected{
-      .text = 0x0ea5f6df1ecd9d15ULL, .stream = 0x0ea5f6df1ecd9d15ULL};
+      .text = 0x0ea5f6df1ecd9d15ULL, .stream = 0xba79b056a363c8beULL};
 
   options.use_combiner = true;
   const ConvergenceResult protected_run = golden::run_golden(

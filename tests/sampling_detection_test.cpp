@@ -18,7 +18,7 @@ namespace {
 /// turns byzantine-corrupt at 100 ms and honest again at 350 ms. The
 /// golden pins the sampled run's stream.
 constexpr golden::Hashes kGoldenSwapSampled{.text = 0x34a4a4bf5dab6603ULL,
-                                            .stream = 0x34a4a4bf5dab6603ULL};
+                                            .stream = 0x4c62fb4ba36ae759ULL};
 SoakOptions swap_options(bool sampled) {
   SoakOptions options;
   options.k = 5;
