@@ -78,16 +78,19 @@ void check_audit(const core::CompareAudit& audit, const std::string& where,
   }
 }
 
-const QuorumTraceChecker::EgressGroup& QuorumTraceChecker::egress_group(
-    const std::string& component) {
-  const auto hit = group_by_component_.find(component);
-  if (hit != group_by_component_.end()) return hit->second;
+QuorumTraceChecker::EgressGroup QuorumTraceChecker::egress_group(
+    obs::ComponentName component) {
+  const std::uint32_t id = component.id();
+  if (id < group_by_component_.size() && group_by_component_[id]) {
+    return *group_by_component_[id];
+  }
   // Cold path: a component seen for the first time. Group by the wire:
   // "compare/netco-e0" and "standby/netco-e0" both emit onto edge
-  // netco-e0, so they must intern to the same group.
-  const std::size_t slash = component.find('/');
-  const std::string suffix =
-      slash == std::string::npos ? component : component.substr(slash + 1);
+  // netco-e0, so they must land in the same group.
+  const std::string_view name = component.text();
+  const std::size_t slash = name.find('/');
+  const std::string suffix(
+      slash == std::string_view::npos ? name : name.substr(slash + 1));
   auto [git, inserted] = group_by_suffix_.try_emplace(suffix);
   if (inserted) {
     git->second.id = group_by_suffix_.size() - 1;
@@ -95,7 +98,9 @@ const QuorumTraceChecker::EgressGroup& QuorumTraceChecker::egress_group(
         fnv1a(std::as_bytes(std::span(suffix.data(), suffix.size())));
     last_release_.resize(group_by_suffix_.size());
   }
-  return group_by_component_.emplace(component, git->second).first->second;
+  if (id >= group_by_component_.size()) group_by_component_.resize(id + 1);
+  group_by_component_[id] = git->second;
+  return git->second;
 }
 
 void QuorumTraceChecker::append(const obs::TraceRecord& record) {
@@ -106,15 +111,13 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
   hash_ = hash_mix(hash_, record.packet_id);
   hash_ = hash_mix(hash_, static_cast<std::uint64_t>(record.replica));
   hash_ = hash_mix(hash_, record.bytes);
-  const std::string& name = record.component;
-  hash_ = hash_mix(
-      hash_, fnv1a(std::as_bytes(std::span(name.data(), name.size()))));
+  hash_ = hash_mix(hash_, record.component.fnv());
 
+  const VoteKey key{record.component.id(), record.packet_id};
   switch (record.event) {
     case obs::TraceEvent::kCompareIngest:
       if (record.replica >= 0 && record.replica < 64) {
-        votes_[record.component][record.packet_id] |=
-            1ULL << static_cast<unsigned>(record.replica);
+        votes_[key] |= 1ULL << static_cast<unsigned>(record.replica);
       }
       break;
     case obs::TraceEvent::kCompareRelease:
@@ -122,15 +125,8 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
       const bool fastpath = record.event == obs::TraceEvent::kCompareFastpath;
       ++releases_;
       ++report_.checks;
-      const auto comp = votes_.find(record.component);
-      const std::uint64_t mask =
-          comp != votes_.end()
-              ? [&] {
-                  const auto it = comp->second.find(record.packet_id);
-                  return it != comp->second.end() ? it->second : 0ULL;
-                }()
-              : 0ULL;
-      std::uint64_t counted = mask;
+      const auto vote = votes_.find(key);
+      std::uint64_t counted = vote != votes_.end() ? vote->second : 0;
       // A fast-path release record names its deciding replica — the vote
       // that tripped the release rule rides the release record instead of
       // a separate ingest record (the sampled mode's trace thinning).
@@ -156,16 +152,17 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
       }
       const int vote_count = std::popcount(counted);
       if (vote_count < needed) {
+        const std::string_view name = record.component.text();
         char buf[128];
         std::snprintf(buf, sizeof buf,
-                      "%s: released %016llx with %d votes (need %d) t=%lld",
-                      record.component.c_str(),
+                      "%.*s: released %016llx with %d votes (need %d) t=%lld",
+                      static_cast<int>(name.size()), name.data(),
                       static_cast<unsigned long long>(record.packet_id),
                       vote_count, needed,
                       static_cast<long long>(record.at_ns));
         report_.note(buf);
       }
-      const EgressGroup& group = egress_group(record.component);
+      const EgressGroup group = egress_group(record.component);
       egress_hash_ += hash_mix(record.packet_id, group.name_fnv);
       if (config_.check_duplicates) {
         // Prune releases that fell out of the window; forget a mapped
@@ -185,11 +182,12 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
         if (it != per_group.end() &&
             record.at_ns - it->second <= kDuplicateWindowNs) {
           ++duplicates_;
+          const std::string_view name = record.component.text();
           char buf[160];
           std::snprintf(
               buf, sizeof buf,
-              "%s: duplicate egress of %016llx at t=%lld (previous t=%lld)",
-              record.component.c_str(),
+              "%.*s: duplicate egress of %016llx at t=%lld (previous t=%lld)",
+              static_cast<int>(name.size()), name.data(),
               static_cast<unsigned long long>(record.packet_id),
               static_cast<long long>(record.at_ns),
               static_cast<long long>(it->second));
@@ -206,7 +204,7 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
       // Same duplicate-window audit as egress, keyed by the emitting
       // switch: every detour hop rewrites the VID (new content hash), so
       // a repeat of the same id at the same switch is a genuine loop.
-      const EgressGroup& group = egress_group(record.component);
+      const EgressGroup group = egress_group(record.component);
       while (!release_log_.empty() &&
              record.at_ns - std::get<0>(release_log_.front()) >
                  kDuplicateWindowNs) {
@@ -222,11 +220,12 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
       if (it != per_group.end() &&
           record.at_ns - it->second <= kDuplicateWindowNs) {
         ++duplicates_;
+        const std::string_view name = record.component.text();
         char buf[160];
         std::snprintf(
             buf, sizeof buf,
-            "%s: reroute loop on %016llx at t=%lld (previous t=%lld)",
-            record.component.c_str(),
+            "%.*s: reroute loop on %016llx at t=%lld (previous t=%lld)",
+            static_cast<int>(name.size()), name.data(),
             static_cast<unsigned long long>(record.packet_id),
             static_cast<long long>(record.at_ns),
             static_cast<long long>(it->second));
@@ -242,8 +241,7 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
     case obs::TraceEvent::kCompareExpire: {
       // The cache entry is gone; forget its votes so the map stays
       // bounded by the live cache size.
-      const auto comp = votes_.find(record.component);
-      if (comp != votes_.end()) comp->second.erase(record.packet_id);
+      votes_.erase(key);
       break;
     }
     case obs::TraceEvent::kHealthQuarantine:

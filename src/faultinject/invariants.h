@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -131,22 +132,29 @@ class QuorumTraceChecker final : public obs::TraceSink {
   std::uint64_t egress_hash_ = 0;
   /// Bit per replica currently quarantined or banned (config_.k mode).
   std::uint64_t quarantined_mask_ = 0;
-  /// component → packet id → replica vote bitmask. Entries die with their
-  /// cache entry (release verdict, eviction, or expiry), so the map is
-  /// bounded by the compare caches' live size.
-  std::unordered_map<std::string,
-                     std::unordered_map<std::uint64_t, std::uint64_t>>
-      votes_;
-  /// Egress groups (component suffix after '/') interned to dense ids with
-  /// their name-FNV precomputed: release records are the hot path of a
-  /// sampled soak, and re-hashing / re-substringing the component per
-  /// record dominated the checker's cost before interning.
+  /// (component id, packet id) → replica vote bitmask. Entries die with
+  /// their cache entry (release verdict, eviction, or expiry), so the map
+  /// is bounded by the compare caches' live size.
+  struct VoteKey {
+    std::uint32_t component;
+    std::uint64_t packet;
+    bool operator==(const VoteKey&) const noexcept = default;
+  };
+  struct VoteKeyHash {
+    std::size_t operator()(const VoteKey& key) const noexcept {
+      return hash_mix(key.packet, key.component);
+    }
+  };
+  std::unordered_map<VoteKey, std::uint64_t, VoteKeyHash> votes_;
+  /// Egress groups (component suffix after '/') as dense ids with their
+  /// name-FNV precomputed, indexed by component id: release records are
+  /// the hot path of a sampled soak.
   struct EgressGroup {
     std::size_t id = 0;
     std::uint64_t name_fnv = 0;
   };
-  [[nodiscard]] const EgressGroup& egress_group(const std::string& component);
-  std::unordered_map<std::string, EgressGroup> group_by_component_;
+  [[nodiscard]] EgressGroup egress_group(obs::ComponentName component);
+  std::vector<std::optional<EgressGroup>> group_by_component_;
   std::unordered_map<std::string, EgressGroup> group_by_suffix_;
   /// Duplicate-egress tracking (check_duplicates mode): per egress group,
   /// packet id → last release time, plus a pruning log so the maps stay

@@ -34,7 +34,7 @@ void Channel::send(net::Packet packet) {
       // packet_id is the memoized content hash (shared across COW copies);
       // a loss/drop record therefore never re-hashes the payload.
       tracer.emit(simulator_.now().ns(), obs::TraceEvent::kLinkLoss,
-                  packet.content_hash(), label_, -1,
+                  packet.content_hash(), trace_name_.get(label_), -1,
                   static_cast<std::uint32_t>(packet.size()));
     }
     return;
@@ -51,7 +51,7 @@ void Channel::send(net::Packet packet) {
     obs::Tracer& tracer = obs_->tracer;
     if (tracer.enabled()) {
       tracer.emit(simulator_.now().ns(), obs::TraceEvent::kLinkDrop,
-                  packet.content_hash(), label_, -1,
+                  packet.content_hash(), trace_name_.get(label_), -1,
                   static_cast<std::uint32_t>(packet.size()));
     }
     return;

@@ -102,7 +102,10 @@ class Channel {
 
   /// Name stamped on this channel's trace records ("s1->r2"). Defaults to
   /// "link"; Network::connect() labels both directions from the node names.
-  void set_label(std::string label) { label_ = std::move(label); }
+  void set_label(std::string label) {
+    label_ = std::move(label);
+    trace_name_.reset();
+  }
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
 
   /// Counters for this direction.
@@ -135,6 +138,7 @@ class Channel {
   double loss_rate_ = 0.0;
   sim::Duration extra_latency_ = sim::Duration::zero();
   std::string label_ = "link";
+  obs::LazyComponentName trace_name_;  ///< label_, interned
   LinkStats stats_;
 };
 

@@ -105,7 +105,8 @@ void CompareCore::trace(obs::TraceEvent event, const net::Packet& packet,
   // key_of() already computed it on ingest, so every lifecycle record an
   // entry emits afterwards (release, evict, duplicate, expire...) reads
   // the cached value instead of rehashing the payload.
-  tracer.emit(now.ns(), event, packet.content_hash(), trace_label_, replica,
+  tracer.emit(now.ns(), event, packet.content_hash(),
+              trace_name_.get(trace_label_), replica,
               static_cast<std::uint32_t>(packet.size()));
 }
 
@@ -114,7 +115,8 @@ void CompareCore::trace_id(obs::TraceEvent event, std::uint64_t packet_id,
                            int replica) {
   obs::Tracer& tracer = obs_->tracer;
   if (!tracer.enabled()) [[likely]] return;
-  tracer.emit(now.ns(), event, packet_id, trace_label_, replica, bytes);
+  tracer.emit(now.ns(), event, packet_id, trace_name_.get(trace_label_),
+              replica, bytes);
 }
 
 void CompareCore::flag_block(int replica, sim::TimePoint now) {

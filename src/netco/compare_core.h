@@ -340,7 +340,10 @@ class CompareCore {
 
   /// Component name stamped on this core's trace records ("compare" by
   /// default; deployments use "compare/<edge>" to tell edges apart).
-  void set_trace_label(std::string label) { trace_label_ = std::move(label); }
+  void set_trace_label(std::string label) {
+    trace_label_ = std::move(label);
+    trace_name_.reset();
+  }
   [[nodiscard]] const std::string& trace_label() const noexcept {
     return trace_label_;
   }
@@ -411,6 +414,7 @@ class CompareCore {
   std::size_t last_cleanup_work_ = 0;
   bool shadow_ = false;  ///< standby shadow mode: quorums never release
   std::string trace_label_ = "compare";
+  obs::LazyComponentName trace_name_;  ///< trace_label_, interned
   VerdictSink* verdict_sink_ = nullptr;
   /// Bit per replica in [0, k): 1 = counts toward quorums. All-ones by
   /// default; the health subsystem's QuarantineManager shrinks it.

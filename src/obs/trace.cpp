@@ -1,10 +1,45 @@
 #include "obs/trace.h"
 
 #include <cstdio>
+#include <mutex>
+#include <span>
+#include <unordered_map>
 
 #include "common/assert.h"
 
 namespace netco::obs {
+
+namespace {
+
+/// The process-wide name table (see ComponentName).
+struct NameTable {
+  std::mutex mutex;
+  std::deque<std::string> texts;  ///< never moved: entries view them
+  std::deque<ComponentName::Entry> entries;
+  std::unordered_map<std::string_view, const ComponentName::Entry*> index;
+};
+
+NameTable& name_table() {
+  // Never destroyed, so a name read during static destruction still holds.
+  static NameTable* const table = new NameTable;
+  return *table;
+}
+
+}  // namespace
+
+ComponentName ComponentName::intern(std::string_view text) {
+  if (text.empty()) return {};
+  NameTable& table = name_table();
+  const std::lock_guard lock(table.mutex);
+  const auto hit = table.index.find(text);
+  if (hit != table.index.end()) return ComponentName(hit->second);
+  const std::string& stored = table.texts.emplace_back(text);
+  const Entry& entry = table.entries.emplace_back(
+      Entry{stored, fnv1a(std::as_bytes(std::span(stored.data(), stored.size()))),
+            static_cast<std::uint32_t>(table.entries.size() + 1)});
+  table.index.emplace(entry.text, &entry);
+  return ComponentName(&entry);
+}
 
 const char* to_string(TraceEvent event) noexcept {
   switch (event) {
@@ -65,7 +100,7 @@ std::string to_json(const TraceRecord& record) {
       static_cast<unsigned long long>(record.packet_id), record.replica,
       record.bytes);
   std::string out(head, static_cast<std::size_t>(n));
-  out += record.component;  // component names are plain identifiers
+  out += record.component.text();  // component names are plain identifiers
   out += "\"}";
   return out;
 }
@@ -112,19 +147,6 @@ void JsonlFileSink::append(const TraceRecord& record) {
 void JsonlFileSink::flush() {
   NETCO_ASSERT_MSG(std::fflush(file_) == 0,
                    "trace sink: flush failed (disk full?)");
-}
-
-void Tracer::emit_slow(std::int64_t at_ns, TraceEvent event,
-                       std::uint64_t packet_id, std::string_view component,
-                       std::int32_t replica, std::uint32_t bytes) {
-  TraceRecord record;
-  record.at_ns = at_ns;
-  record.event = event;
-  record.packet_id = packet_id;
-  record.replica = replica;
-  record.bytes = bytes;
-  record.component.assign(component.data(), component.size());
-  sink_->append(record);
 }
 
 }  // namespace netco::obs

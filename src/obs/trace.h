@@ -16,14 +16,21 @@
 // → identical event order), so the serialized trace stream is itself a
 // deterministic artifact: the golden-trace tests byte-compare whole runs.
 //
+// A record names its emitting component by an interned ComponentName, not
+// a string, so building, copying and hashing a record never touches the
+// name's characters; only the JSONL and ring sinks render it as text.
+//
 // Cost model: the Tracer's disabled path is a single pointer null-check —
-// no record construction, no string materialization, no sink virtual call.
+// no record construction, no interning, no sink virtual call.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <string_view>
+
+#include "common/hash.h"
 
 namespace netco::obs {
 
@@ -76,6 +83,66 @@ enum class TraceEvent : std::uint8_t {
 /// Stable lowercase name ("compare.release", ...) used in the JSON export.
 [[nodiscard]] const char* to_string(TraceEvent event) noexcept;
 
+/// A component name ("netco-e0", "s1->r2", ...) interned in one
+/// process-wide, append-only table. Interning locks the table's mutex;
+/// reading an interned name does not. Entries never die, so a name stays
+/// valid however long a record carrying it lives (a ring sink may outlive
+/// the fleet cell whose context emitted into it), and two contexts or
+/// threads never give one id to different names.
+class ComponentName {
+ public:
+  struct Entry {
+    std::string_view text;
+    std::uint64_t fnv;  ///< FNV-1a of text
+    std::uint32_t id;   ///< dense, in interning order; 0 is the empty name
+  };
+
+  /// The empty name.
+  constexpr ComponentName() noexcept = default;
+
+  /// The interned name of `text`. The first call for a text adds it to
+  /// the table; every later call, from any thread, returns the same name.
+  [[nodiscard]] static ComponentName intern(std::string_view text);
+
+  [[nodiscard]] std::string_view text() const noexcept { return entry_->text; }
+  /// FNV-1a of text(), precomputed. A hash over records folds this, never
+  /// id(), so it does not depend on which names a process interned first.
+  [[nodiscard]] std::uint64_t fnv() const noexcept { return entry_->fnv; }
+  /// Dense small id for map keys; never fold it into a hash or artifact.
+  [[nodiscard]] std::uint32_t id() const noexcept { return entry_->id; }
+
+  friend bool operator==(ComponentName a, ComponentName b) noexcept {
+    return a.entry_ == b.entry_;
+  }
+
+ private:
+  static constexpr Entry kEmpty{{}, kFnvOffset, 0};
+
+  explicit constexpr ComponentName(const Entry* entry) noexcept
+      : entry_(entry) {}
+
+  const Entry* entry_ = &kEmpty;
+};
+
+/// A hot emitter's own name, interned on its first record: building the
+/// component takes no lock (set-up time is an end-to-end figure), and an
+/// untraced run interns nothing.
+class LazyComponentName {
+ public:
+  /// The interned `text`, interned on the first call after construction
+  /// or reset().
+  [[nodiscard]] ComponentName get(std::string_view text) {
+    if (!name_) name_ = ComponentName::intern(text);
+    return *name_;
+  }
+
+  /// Forgets the interned name; call when the component is renamed.
+  void reset() noexcept { name_.reset(); }
+
+ private:
+  std::optional<ComponentName> name_;
+};
+
 /// One structured lifecycle record.
 struct TraceRecord {
   std::int64_t at_ns = 0;        ///< simulated time of the event
@@ -83,7 +150,7 @@ struct TraceRecord {
   std::uint64_t packet_id = 0;   ///< stable id (content hash of wire bytes)
   std::int32_t replica = -1;     ///< replica index when attributable, else -1
   std::uint32_t bytes = 0;       ///< packet size on the wire
-  std::string component;         ///< emitting component ("netco-e0", ...)
+  ComponentName component;       ///< emitting component ("netco-e0", ...)
 };
 
 /// Canonical single-line JSON rendering (no trailing newline). Field order
@@ -174,6 +241,11 @@ class JsonlFileSink final : public TraceSink {
 };
 
 /// The emit front-end components talk to. Disabled (no sink) by default.
+///
+/// Hot emitters (a compare core, a link direction, a switch) pass their
+/// name as a ComponentName they interned once, on their first record
+/// (LazyComponentName). Cold emitters (health, resilience, routing, the
+/// fabric injector) pass text, which emit() interns on each enabled call.
 class Tracer {
  public:
   [[nodiscard]] bool enabled() const noexcept { return sink_ != nullptr; }
@@ -184,17 +256,23 @@ class Tracer {
 
   /// Emits one record; a no-op costing one branch when disabled.
   void emit(std::int64_t at_ns, TraceEvent event, std::uint64_t packet_id,
+            ComponentName component, std::int32_t replica = -1,
+            std::uint32_t bytes = 0) {
+    if (sink_ == nullptr) [[likely]] return;
+    sink_->append(
+        TraceRecord{at_ns, event, packet_id, replica, bytes, component});
+  }
+
+  /// Cold-site form: interns `component` when enabled.
+  void emit(std::int64_t at_ns, TraceEvent event, std::uint64_t packet_id,
             std::string_view component, std::int32_t replica = -1,
             std::uint32_t bytes = 0) {
     if (sink_ == nullptr) [[likely]] return;
-    emit_slow(at_ns, event, packet_id, component, replica, bytes);
+    emit(at_ns, event, packet_id, ComponentName::intern(component), replica,
+         bytes);
   }
 
  private:
-  void emit_slow(std::int64_t at_ns, TraceEvent event,
-                 std::uint64_t packet_id, std::string_view component,
-                 std::int32_t replica, std::uint32_t bytes);
-
   TraceSink* sink_ = nullptr;
 };
 

@@ -32,7 +32,8 @@ void OpenFlowSwitch::set_port_live(device::PortIndex port, bool live) {
     tracer.emit(simulator().now().ns(),
                 live ? obs::TraceEvent::kFailoverPortLive
                      : obs::TraceEvent::kFailoverPortDead,
-                0, name(), static_cast<std::int32_t>(port), 0);
+                0, trace_name_.get(name()), static_cast<std::int32_t>(port),
+                0);
   }
 }
 
@@ -92,7 +93,7 @@ FlowEntry* OpenFlowSwitch::guarded_lookup(const Match& key,
     obs::Tracer& tracer = obs_->tracer;
     if (tracer.enabled()) {
       tracer.emit(simulator().now().ns(), obs::TraceEvent::kFailoverReroute,
-                  packet.content_hash(), name(),
+                  packet.content_hash(), trace_name_.get(name()),
                   static_cast<std::int32_t>(entry->spec.priority),
                   static_cast<std::uint32_t>(packet.size()));
     }
@@ -182,7 +183,7 @@ void OpenFlowSwitch::count_tx(const net::Packet& packet,
     // (or the first hop that asked) and shared by every COW copy, so a
     // packet crossing h switches is hashed once, not h times.
     tracer.emit(simulator().now().ns(), obs::TraceEvent::kReplicaForward,
-                packet.content_hash(), name(),
+                packet.content_hash(), trace_name_.get(name()),
                 static_cast<std::int32_t>(port),
                 static_cast<std::uint32_t>(packet.size()));
   }

@@ -150,6 +150,7 @@ class OpenFlowSwitch : public device::Node, public device::Datapath {
   obs::Counter* table_miss_counter_;  ///< "switch.table_misses"
   obs::Counter* reroute_counter_;     ///< "failover.reroute"
   obs::Counter* static_hit_counter_;  ///< "resilience.static_hit"
+  obs::LazyComponentName trace_name_;  ///< name(), interned
   ControlChannel* control_ = nullptr;
   DatapathInterceptor* interceptor_ = nullptr;
   IngressTap tap_;

@@ -153,7 +153,7 @@ TEST(RerouteAudit, FlagsSameStateRevisitAsLoop) {
       {.quorum = 1, .check_duplicates = true, .audit_reroutes = true});
   obs::TraceRecord record;
   record.event = obs::TraceEvent::kFailoverReroute;
-  record.component = "netco-a0-0";
+  record.component = obs::ComponentName::intern("netco-a0-0");
   record.packet_id = 0xABCD;
   record.at_ns = 1'000;
   checker.append(record);
@@ -177,7 +177,7 @@ TEST(RerouteAudit, DisabledByDefault) {
                                            .check_duplicates = true});
   obs::TraceRecord record;
   record.event = obs::TraceEvent::kFailoverReroute;
-  record.component = "netco-a0-0";
+  record.component = obs::ComponentName::intern("netco-a0-0");
   record.packet_id = 0xABCD;
   checker.append(record);
   record.at_ns = 1'000;

@@ -27,7 +27,7 @@ obs::TraceRecord record(obs::TraceEvent event, std::uint64_t pkt,
   r.packet_id = pkt;
   r.replica = replica;
   r.bytes = 64;
-  r.component = component;
+  r.component = obs::ComponentName::intern(component);
   return r;
 }
 

@@ -240,8 +240,8 @@ TEST(Link, LossyChannelDropsAndTracesOwningLinkName) {
   // "link" — so multi-link topologies stay attributable.
   ASSERT_EQ(ring.records().size(), 2u);
   EXPECT_EQ(ring.records()[0].event, obs::TraceEvent::kLinkLoss);
-  EXPECT_EQ(ring.records()[0].component, "alpha->bravo");
-  EXPECT_EQ(ring.records()[1].component, "bravo->alpha");
+  EXPECT_EQ(ring.records()[0].component.text(), "alpha->bravo");
+  EXPECT_EQ(ring.records()[1].component.text(), "bravo->alpha");
 
   conn.link->set_loss(0.0);
   a.send(0, frame(100));
