@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -442,6 +443,28 @@ TEST(QuorumTraceChecker, StreamHashDeterministicAndOrderSensitive) {
   c.append(r1);
   EXPECT_EQ(a.stream_hash(), b.stream_hash());
   EXPECT_NE(a.stream_hash(), c.stream_hash());
+}
+
+TEST(QuorumTraceChecker, StreamHashCoversEveryField) {
+  // Six copies of a base record, each differing in exactly one field, in
+  // a high bit where the field has one: a fold that dropped a field, cut
+  // it short or overlapped it with another would make two of these seven
+  // one-record streams hash alike.
+  const obs::TraceRecord base = record(obs::TraceEvent::kCompareIngest, 1, 0);
+  std::vector<obs::TraceRecord> streams(7, base);
+  streams[1].at_ns += std::int64_t{1} << 40;
+  streams[2].event = obs::TraceEvent::kFailoverReroute;
+  streams[3].packet_id ^= std::uint64_t{1} << 63;
+  streams[4].replica = std::int32_t{1} << 30;
+  streams[5].bytes ^= std::uint32_t{1} << 31;
+  streams[6].component = obs::ComponentName::intern("compare/other");
+  std::set<std::uint64_t> hashes;
+  for (const obs::TraceRecord& r : streams) {
+    QuorumTraceChecker checker({.quorum = 2});
+    checker.append(r);
+    hashes.insert(checker.stream_hash());
+  }
+  EXPECT_EQ(hashes.size(), streams.size());
 }
 
 // --- §XII: fast-path releases and the weighted vote cache ------------------
