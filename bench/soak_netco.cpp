@@ -140,10 +140,6 @@ int main() {
     options.rate = DataRate::megabits_per_sec(config.rate_mbps);
     options.health.enabled = config.health;
     options.sampling.enabled = config.sampled;
-    // The matched pair measures the compare path: both sides feed the
-    // checker protocol records only, so the (identical) hub/replica/link
-    // narration's serialize-and-hash cost does not dilute the ratio.
-    options.protocol_trace_only = config.single_swap;
     if (config.single_swap) {
       // Mirror scenario::expected_duration: horizon = packets / offered pps.
       const double pps = static_cast<double>(options.rate.bps()) /

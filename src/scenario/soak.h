@@ -68,13 +68,11 @@ struct SoakOptions {
   /// ignored and the run length is workload.duration plus the drain.
   workload::WorkloadConfig workload;
   /// Feed the invariant checker only the protocol-relevant records
-  /// (compare.*, health.*, resilience.*), skipping the per-record
-  /// serialize-and-hash cost of the forwarding narration
-  /// (replica.forward, link.*). Every invariant still checks — the checker
-  /// never reads the dropped record kinds — but stream_hash then covers
-  /// the protocol stream only. Perf-comparison configs set this on BOTH
-  /// sides of a pair so the measured delta is the compare path, not
-  /// shared observability overhead.
+  /// (compare.*, health.*, resilience.*), skipping the forwarding
+  /// narration (replica.forward, link.*). Every invariant still checks —
+  /// the checker never reads the dropped record kinds — but stream_hash
+  /// then covers the protocol stream only. perfbench's soak-k5-sampled
+  /// workload sets it.
   bool protocol_trace_only = false;
 };
 

@@ -26,9 +26,8 @@
 namespace netco::scenario {
 
 /// Forwards only the record kinds the protocol checker actually reads
-/// (everything except the replica/link forwarding narration), so a
-/// perf-comparison pair is not dominated by serialize-and-hash cost that
-/// is identical on both sides anyway (see SoakOptions::protocol_trace_only).
+/// (everything except the replica/link forwarding narration; see
+/// SoakOptions::protocol_trace_only).
 class ProtocolFilterSink final : public obs::TraceSink {
  public:
   explicit ProtocolFilterSink(obs::TraceSink& downstream)
