@@ -14,9 +14,9 @@ namespace {
 /// The process-wide name table (see ComponentName).
 struct NameTable {
   std::mutex mutex;
-  std::deque<std::string> texts;  ///< never moved: entries view them
-  std::deque<ComponentName::Entry> entries;
-  std::unordered_map<std::string_view, const ComponentName::Entry*> index;
+  /// Node-based, so neither a key nor its entry ever moves: each entry's
+  /// text views its own key.
+  std::unordered_map<std::string, ComponentName::Entry> entries;
 };
 
 NameTable& name_table() {
@@ -31,14 +31,14 @@ ComponentName ComponentName::intern(std::string_view text) {
   if (text.empty()) return {};
   NameTable& table = name_table();
   const std::lock_guard lock(table.mutex);
-  const auto hit = table.index.find(text);
-  if (hit != table.index.end()) return ComponentName(hit->second);
-  const std::string& stored = table.texts.emplace_back(text);
-  const Entry& entry = table.entries.emplace_back(
-      Entry{stored, fnv1a(std::as_bytes(std::span(stored.data(), stored.size()))),
-            static_cast<std::uint32_t>(table.entries.size() + 1)});
-  table.index.emplace(entry.text, &entry);
-  return ComponentName(&entry);
+  auto [it, inserted] = table.entries.try_emplace(std::string(text));
+  if (inserted) {
+    const std::string& key = it->first;
+    const auto bytes = std::as_bytes(std::span(key.data(), key.size()));
+    it->second = Entry{key, fnv1a(bytes),
+                       static_cast<std::uint32_t>(table.entries.size())};
+  }
+  return ComponentName(&it->second);
 }
 
 const char* to_string(TraceEvent event) noexcept {

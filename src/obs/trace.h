@@ -111,10 +111,6 @@ class ComponentName {
   /// Dense small id for map keys; never fold it into a hash or artifact.
   [[nodiscard]] std::uint32_t id() const noexcept { return entry_->id; }
 
-  friend bool operator==(ComponentName a, ComponentName b) noexcept {
-    return a.entry_ == b.entry_;
-  }
-
  private:
   static constexpr Entry kEmpty{{}, kFnvOffset, 0};
 
