@@ -11,10 +11,10 @@
 //  * QuorumTraceChecker validates the *protocol* from the trace stream:
 //    every compare.release must be preceded by ingests from a strict
 //    majority of replicas (or at least one in kFirstCopy detection mode).
-//    It sits in the trace path as a TraceSink and folds every record into
-//    an FNV-1a stream hash — the determinism fingerprint the soak
-//    byte-compares across same-seed runs without buffering millions of
-//    records.
+//    It sits in the trace path as a TraceSink and folds every record's
+//    fixed binary fields into a stream hash — the determinism fingerprint
+//    the soak compares across same-seed runs without buffering or
+//    rendering millions of records.
 #pragma once
 
 #include <cstdint>
@@ -109,8 +109,11 @@ class QuorumTraceChecker final : public obs::TraceSink {
   /// failover.reroute records seen (static backup layer detours).
   [[nodiscard]] std::uint64_t reroutes() const noexcept { return reroutes_; }
 
-  /// FNV-1a over the canonical JSON of every record seen so far — equal
-  /// hashes across two runs mean byte-identical trace streams.
+  /// hash_mix fold, in stream order, of every record's at_ns, event,
+  /// packet_id, replica and bytes at full width and its component name's
+  /// FNV-1a (never its interning id, so the hash is the same in every
+  /// thread and process). Equal hashes across two runs mean identical
+  /// record streams, hence byte-identical JSONL traces.
   [[nodiscard]] std::uint64_t stream_hash() const noexcept { return hash_; }
 
   /// Order-independent digest of every egress event: a wrapping sum of
