@@ -29,6 +29,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "common/hash.h"
 
@@ -139,7 +140,9 @@ class LazyComponentName {
   std::optional<ComponentName> name_;
 };
 
-/// One structured lifecycle record.
+/// One structured lifecycle record. It holds no string: the component is
+/// an interned ComponentName, so a record is trivially copyable and a
+/// sink that does not render text never touches the name's characters.
 struct TraceRecord {
   std::int64_t at_ns = 0;        ///< simulated time of the event
   TraceEvent event{};            ///< lifecycle stage
@@ -148,6 +151,7 @@ struct TraceRecord {
   std::uint32_t bytes = 0;       ///< packet size on the wire
   ComponentName component;       ///< emitting component ("netco-e0", ...)
 };
+static_assert(std::is_trivially_copyable_v<TraceRecord>);
 
 /// Canonical single-line JSON rendering (no trailing newline). Field order
 /// and formatting are fixed — golden tests compare these bytes.
