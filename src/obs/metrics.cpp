@@ -85,14 +85,6 @@ void Histogram::merge_from(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-void Histogram::reset() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 std::vector<double> default_latency_buckets_us() {
   std::vector<double> out;
   for (double decade = 1.0; decade <= 1e4; decade *= 10.0) {
@@ -171,11 +163,6 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   for (const auto& [name, hist] : other.histograms_) {
     histogram(name, hist->bounds()).merge_from(*hist);
   }
-}
-
-void MetricsRegistry::reset() noexcept {
-  for (auto& [name, ctr] : counters_) ctr->reset();
-  for (auto& [name, hist] : histograms_) hist->reset();
 }
 
 }  // namespace netco::obs

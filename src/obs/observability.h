@@ -4,15 +4,15 @@
 // and keep the pointer; the Tracer's null-sink check is then the entire
 // disabled-path cost. global() is the calling thread's *current* context:
 // the thread's own thread-local one unless set_current() installed
-// another. The classic single-threaded harnesses never switch, so main's
-// context is the only one they see. A fleet cell (scenario/circuit.h)
-// owns a context of its own and makes it current while its circuit is
-// built, before each of its windows and while it finalizes, so every
-// circuit of a sharded run has its own registry and trace sink; the fleet
-// merges the registries in circuit order (MetricsRegistry::merge_from).
-// Tests install a RingBufferSink via the RAII ScopedTraceSink; benches
-// install a JSONL sink when NETCO_TRACE_OUT names a file (see
-// trace_sink_from_env()).
+// another. Every harness run, solo or in a fleet, runs its circuit in a
+// cell (scenario/circuit.h) that owns a context of its own and makes it
+// current while the circuit is built, around each of its windows and
+// while it finalizes, then puts the caller's back. So every circuit has
+// its own registry and trace sink, and a caller's context holds after a
+// run what it held before; a fleet merges its circuits' registries in
+// circuit order (MetricsRegistry::merge_from). Tests install a
+// RingBufferSink via the RAII ScopedTraceSink; benches install a JSONL
+// sink when NETCO_TRACE_OUT names a file (see trace_sink_from_env()).
 #pragma once
 
 #include <memory>
@@ -36,15 +36,13 @@ struct Observability {
 void set_current(Observability* context) noexcept;
 
 /// Installs `sink` on the current context's tracer for the current scope,
-/// restoring the previous sink (usually none) on destruction. A null sink
-/// turns tracing off for the scope.
+/// restoring the previous sink (usually none) on destruction.
 class ScopedTraceSink {
  public:
-  explicit ScopedTraceSink(TraceSink* sink) noexcept
+  explicit ScopedTraceSink(TraceSink& sink) noexcept
       : previous_(global().tracer.sink()) {
-    global().tracer.set_sink(sink);
+    global().tracer.set_sink(&sink);
   }
-  explicit ScopedTraceSink(TraceSink& sink) noexcept : ScopedTraceSink(&sink) {}
   ~ScopedTraceSink() { global().tracer.set_sink(previous_); }
 
   ScopedTraceSink(const ScopedTraceSink&) = delete;

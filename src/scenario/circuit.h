@@ -16,11 +16,12 @@
 //                       calling thread's current observability context
 //   take_result()       moves the result out
 //
-// run_circuit() drives one circuit on the calling thread. run_fleet() runs
-// many as the cells of a sim::ShardedSimulator. Each fleet circuit owns
-// its simulator, seed, checker and observability context, so its event
-// stream, result and metrics are the same as a solo run's, and the merged
-// fleet artifacts are the same for every shard count.
+// run_circuit() drives one circuit on the calling thread; run_fleet() runs
+// many as the cells of a sim::ShardedSimulator. Both run each circuit
+// through one cell, detail::CircuitCell, which owns the circuit and its
+// observability context, so a circuit's event stream, result and metrics
+// are the same solo or in a fleet, and the merged fleet artifacts are the
+// same for every shard count.
 #pragma once
 
 #include <chrono>
@@ -86,60 +87,45 @@ template <class Result>
   return folded;
 }
 
-/// Runs one circuit on the calling thread, in that thread's current
-/// observability context: resets its metrics registry first (the snapshot
-/// a result carries belongs to this run alone) and routes the circuit's
-/// records to trace_sink() while it runs. A sink installed before the
-/// call (a bench's NETCO_TRACE_OUT file, a test's ring) receives every
-/// record trace_sink() receives.
-template <Circuit C, class Options>
-CircuitResult<C> run_circuit(const Options& options) {
-  obs::global().metrics.reset();
-  obs::TraceSink* outer = obs::global().tracer.sink();
-  std::optional<C> circuit;
-  {
-    obs::ScopedTraceSink untraced(nullptr);
-    circuit.emplace(options);
-  }
-  std::optional<obs::TeeSink> tee;
-  if (outer != nullptr) tee.emplace(circuit->trace_sink(), *outer);
-  obs::ScopedTraceSink scoped(tee ? static_cast<obs::TraceSink&>(*tee)
-                                  : circuit->trace_sink());
-  sim::TimePoint cap = circuit->start();
-  while (cap != sim::ShardCell::done_marker()) {
-    circuit->simulator().run_until(cap);
-    cap = circuit->on_window(cap);
-  }
-  circuit->finalize();
-  return circuit->take_result();
-}
-
 namespace detail {
 
-/// One fleet circuit's outputs. Its cell writes them on the cell's worker;
-/// the coordinator reads them once ShardedSimulator::run() has returned.
+/// One circuit's outputs. Its cell writes them while it finalizes; a
+/// fleet's coordinator reads them once ShardedSimulator::run() has
+/// returned.
 template <class Result>
-struct FleetSlot {
+struct CircuitSlot {
   Result result;
   obs::MetricsRegistry metrics;
   std::uint64_t beacons_received = 0;  ///< bumped on this cell's worker
 };
 
-/// Runs a circuit as a ShardCell in an observability context of its own,
-/// optionally with a beacon transmitter toward the next circuit of a ring
-/// (real link::Channel traffic over a ShardChannel). Beacons draw no
-/// random numbers and emit no trace records, so they never perturb the
-/// circuit's stream.
+/// Runs one circuit, solo or as a fleet cell, in an observability context
+/// of its own. The context is current while the circuit is built, while
+/// it starts, from before_window() to the end of on_window(), and while it
+/// finalizes; in between, the context current at construction (the
+/// caller's) is current again. The circuit's records go to trace_sink()
+/// and, through a TeeSink, to the caller's sink if it has one: a solo
+/// run's caller may have installed one (a bench's NETCO_TRACE_OUT file, a
+/// test's ring), while a fleet cell's caller is its worker's own context,
+/// which never has a sink, so no record crosses threads.
+///
+/// Optionally the cell runs a beacon transmitter toward the next circuit
+/// of a fleet ring (real link::Channel traffic over a ShardChannel).
+/// Beacons draw no random numbers and emit no trace records, so they never
+/// perturb the circuit's stream.
 template <Circuit C>
-class FleetCell final : public sim::ShardCell {
+class CircuitCell final : public sim::ShardCell {
  public:
-  using Slot = FleetSlot<CircuitResult<C>>;
+  using Slot = CircuitSlot<CircuitResult<C>>;
 
   template <class Options>
-  FleetCell(const Options& options, Slot& slot, sim::ShardChannel* beacon_out,
-            std::uint64_t* peer_beacons)
-      : slot_(slot) {
-    // Components bind to the current context when they are built.
+  CircuitCell(const Options& options, Slot& slot,
+              sim::ShardChannel* beacon_out = nullptr,
+              std::uint64_t* peer_beacons = nullptr)
+      : slot_(slot), caller_(obs::global()) {
+    // Components bind to the current context when they are built, and the
+    // fresh context has no sink yet: a record emitted while building
+    // reaches none.
     obs::set_current(&obs_);
     circuit_.emplace(options);
     if (beacon_out != nullptr) {
@@ -156,7 +142,12 @@ class FleetCell final : public sim::ShardCell {
         ++*peer_beacons;
       });
     }
-    obs_.tracer.set_sink(&circuit_->trace_sink());
+    if (obs::TraceSink* outer = caller_.tracer.sink()) {
+      tee_.emplace(circuit_->trace_sink(), *outer);
+    }
+    obs_.tracer.set_sink(tee_ ? static_cast<obs::TraceSink*>(&*tee_)
+                              : &circuit_->trace_sink());
+    obs::set_current(&caller_);
   }
 
   [[nodiscard]] sim::Simulator& simulator() noexcept override {
@@ -167,6 +158,7 @@ class FleetCell final : public sim::ShardCell {
     obs::set_current(&obs_);
     if (beacon_tx_) schedule_beacon();
     cap_ = circuit_->start();
+    obs::set_current(&caller_);
     return cap_;
   }
 
@@ -176,8 +168,8 @@ class FleetCell final : public sim::ShardCell {
     // A neighbour's horizon cut the window short of the cap: keep going,
     // so the circuit's bookkeeping lands exactly on its own caps however
     // the conservative protocol slices the windows.
-    if (committed < cap_) return cap_;
-    cap_ = circuit_->on_window(committed);
+    if (committed >= cap_) cap_ = circuit_->on_window(committed);
+    obs::set_current(&caller_);
     return cap_;
   }
 
@@ -186,9 +178,9 @@ class FleetCell final : public sim::ShardCell {
     circuit_->finalize();
     slot_.result = circuit_->take_result();
     slot_.metrics.merge_from(obs_.metrics);
-    // The checker dies with the circuit, and the worker outlives the cell.
+    // The checker dies with the circuit, before the context does.
     obs_.tracer.set_sink(nullptr);
-    obs::set_current(nullptr);
+    obs::set_current(&caller_);
   }
 
  private:
@@ -202,16 +194,36 @@ class FleetCell final : public sim::ShardCell {
   }
 
   Slot& slot_;
+  obs::Observability& caller_;
   // Declared before the circuit, so it outlives every component holding
   // a pointer to it.
   obs::Observability obs_;
   std::optional<C> circuit_;
+  std::optional<obs::TeeSink> tee_;
   std::optional<link::Channel> beacon_tx_;
   sim::Duration beacon_period_;
   sim::TimePoint cap_;
 };
 
 }  // namespace detail
+
+/// Runs one circuit's cell on the calling thread. Its result and metrics
+/// belong to this run alone; the calling thread's current context holds
+/// afterwards what it held before, and its sink, if any, receives every
+/// record trace_sink() receives.
+template <Circuit C, class Options>
+CircuitResult<C> run_circuit(const Options& options) {
+  detail::CircuitSlot<CircuitResult<C>> slot;
+  detail::CircuitCell<C> cell(options, slot);
+  sim::TimePoint cap = cell.start();
+  while (cap != sim::ShardCell::done_marker()) {
+    cell.before_window();
+    cell.simulator().run_until(cap);
+    cap = cell.on_window(cap);
+  }
+  cell.finalize();
+  return std::move(slot.result);
+}
 
 /// Runs `circuits` copies of the circuit on `shards` worker threads.
 /// Circuit 0 runs base.seed exactly, so a 1-circuit fleet reproduces
@@ -224,7 +236,7 @@ FleetResult<CircuitResult<C>> run_fleet(
     const Options& base, std::size_t circuits, int shards,
     std::optional<sim::Duration> beacon_period = std::nullopt) {
   using Result = CircuitResult<C>;
-  using Slot = detail::FleetSlot<Result>;
+  using Slot = detail::CircuitSlot<Result>;
   NETCO_ASSERT(circuits >= 1);
   NETCO_ASSERT(shards >= 1);
 
@@ -240,8 +252,8 @@ FleetResult<CircuitResult<C>> run_fleet(
     }
     Slot* peer = &slots[(i + 1) % circuits];
     sharded.add_cell([options, &slots, &ring, i, peer] {
-      return std::make_unique<detail::FleetCell<C>>(options, slots[i], ring[i],
-                                                    &peer->beacons_received);
+      return std::make_unique<detail::CircuitCell<C>>(
+          options, slots[i], ring[i], &peer->beacons_received);
     });
   }
   if (beacon_period && circuits > 1) {

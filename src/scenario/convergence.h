@@ -90,9 +90,10 @@ struct ConvergenceResult {
   std::uint64_t stream_hash = 0;
 };
 
-/// Runs one circuit on the calling thread (resetting the thread's current
-/// metrics registry). Same seed + options ⇒ same ConvergenceResult,
-/// including stream_hash.
+/// Runs one circuit on the calling thread (run_circuit() of
+/// scenario/circuit.h), in an observability context of its own: the
+/// caller's registry is left as it was. Same seed + options ⇒ same
+/// ConvergenceResult, including stream_hash.
 ConvergenceResult run_convergence(const ConvergenceOptions& options);
 
 /// A fleet of independent circuits on a ShardedSimulator (run_fleet() of

@@ -83,7 +83,8 @@ class SoakCircuit {
   /// Epilogue: fills the SoakResult (counters, hashes, invariants, and —
   /// from the calling thread's current metrics registry — verdict
   /// percentiles and the metrics snapshot). Call on the thread that ran
-  /// the windows, in the context the circuit was built in.
+  /// the windows, in the context the circuit was built in: the circuit's
+  /// own, under run_circuit() and run_fleet().
   void finalize();
 
   /// Moves the collected result out (valid after finalize()).

@@ -3,6 +3,8 @@
 // under the same seed. The full-length version lives in bench/soak_netco.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "obs/observability.h"
 #include "scenario/soak.h"
 
@@ -44,6 +46,18 @@ TEST(CircuitRunner, ForwardsRecordsToTheSinkInstalledBeforeIt) {
   }
   EXPECT_GT(result.trace_records, 0u);
   EXPECT_EQ(ring.total_appended(), result.trace_records);
+}
+
+TEST(CircuitRunner, LeavesTheCallersRegistryAlone) {
+  // A harness run counts into a registry of its own: the caller's keeps
+  // its instruments and values, and the run's snapshot does not list them.
+  obs::Counter& caller = obs::global().metrics.counter("test.caller");
+  caller.inc(3);
+  SoakOptions options = smoke_options();
+  options.packets = 500;
+  const SoakResult result = run_soak(options);
+  EXPECT_EQ(caller.value(), 3u);
+  EXPECT_EQ(result.metrics_json.find("test.caller"), std::string::npos);
 }
 
 TEST(SoakSmoke, SameSeedIsBitReproducible) {

@@ -131,9 +131,6 @@ TEST(HistogramQuantile, SummaryStatsTrackObservations) {
   EXPECT_EQ(h.min(), 3.0);
   EXPECT_EQ(h.max(), 7.0);
   EXPECT_EQ(h.mean(), 5.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
 }
 
 TEST(MetricsRegistry, StableAddressesAndCanonicalJson) {
@@ -149,9 +146,6 @@ TEST(MetricsRegistry, StableAddressesAndCanonicalJson) {
   EXPECT_LT(json.find("a.first"), json.find("b.second"));
   EXPECT_NE(json.find("\"a.first\":1"), std::string::npos);
   EXPECT_NE(json.find("\"b.second\":2"), std::string::npos);
-  registry.reset();
-  EXPECT_EQ(registry.counter("b.second").value(), 0u);
-  EXPECT_EQ(&registry.counter("b.second"), &a);  // reset preserves identity
 }
 
 TEST(Table, RendersAlignedColumns) {
