@@ -103,6 +103,39 @@ QuorumTraceChecker::EgressGroup QuorumTraceChecker::egress_group(
   return git->second;
 }
 
+void QuorumTraceChecker::check_repeat(const obs::TraceRecord& record,
+                                      EgressGroup group, const char* what) {
+  // Prune records that fell out of the window; forget a mapped time only
+  // if no newer record overwrote it.
+  while (!release_log_.empty() &&
+         record.at_ns - std::get<0>(release_log_.front()) >
+             kDuplicateWindowNs) {
+    const auto& [ns, gid, id] = release_log_.front();
+    auto& stale = last_release_[gid];
+    const auto iit = stale.find(id);
+    if (iit != stale.end() && iit->second == ns) stale.erase(iit);
+    release_log_.pop_front();
+  }
+  ++report_.checks;
+  auto& per_group = last_release_[group.id];
+  const auto it = per_group.find(record.packet_id);
+  if (it != per_group.end() &&
+      record.at_ns - it->second <= kDuplicateWindowNs) {
+    ++duplicates_;
+    const std::string_view name = record.component.text();
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "%.*s: %s %016llx at t=%lld (previous t=%lld)",
+                  static_cast<int>(name.size()), name.data(), what,
+                  static_cast<unsigned long long>(record.packet_id),
+                  static_cast<long long>(record.at_ns),
+                  static_cast<long long>(it->second));
+    report_.note(buf);
+  }
+  per_group[record.packet_id] = record.at_ns;
+  release_log_.emplace_back(record.at_ns, group.id, record.packet_id);
+}
+
 void QuorumTraceChecker::append(const obs::TraceRecord& record) {
   ++records_;
   // Every field at full width; the component as the FNV-1a of its name.
@@ -133,23 +166,15 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
       if (fastpath && record.replica >= 0 && record.replica < 64) {
         counted |= 1ULL << static_cast<unsigned>(record.replica);
       }
-      int needed = config_.first_copy ? 1 : config_.quorum;
-      if (config_.k > 0) {
-        // Adaptive mode: mirror CompareCore's live-set rules against the
-        // health records already folded into quarantined_mask_.
-        counted &= ~quarantined_mask_;
-        const int live = config_.k - std::popcount(quarantined_mask_);
-        needed = (config_.first_copy || live <= 2) ? 1 : live / 2 + 1;
-      }
+      // Mirror CompareCore's live-set rules against the health records
+      // already folded into quarantined_mask_: a quarantined replica's
+      // vote never counts, the OR'd-in fast-path vote included.
+      counted &= ~quarantined_mask_;
+      const int live = config_.k - std::popcount(quarantined_mask_);
+      int needed = (config_.first_copy || live <= 2) ? 1 : live / 2 + 1;
       // A fast-path release is first-copy-shaped by design: legal with one
-      // vote, as long as that vote came from a non-quarantined replica —
-      // filtered here unconditionally, because the k > 0 filter above is
-      // off in non-adaptive checker configs and a quarantined deciding
-      // replica must never pass on the OR'd-in release vote alone.
-      if (fastpath) {
-        counted &= ~quarantined_mask_;
-        needed = 1;
-      }
+      // vote from a live replica.
+      if (fastpath) needed = 1;
       const int vote_count = std::popcount(counted);
       if (vote_count < needed) {
         const std::string_view name = record.component.text();
@@ -165,76 +190,19 @@ void QuorumTraceChecker::append(const obs::TraceRecord& record) {
       const EgressGroup group = egress_group(record.component);
       egress_hash_ += hash_mix(record.packet_id, group.name_fnv);
       if (config_.check_duplicates) {
-        // Prune releases that fell out of the window; forget a mapped
-        // time only if no newer release overwrote it.
-        while (!release_log_.empty() &&
-               record.at_ns - std::get<0>(release_log_.front()) >
-                   kDuplicateWindowNs) {
-          const auto& [ns, gid, id] = release_log_.front();
-          auto& stale = last_release_[gid];
-          const auto iit = stale.find(id);
-          if (iit != stale.end() && iit->second == ns) stale.erase(iit);
-          release_log_.pop_front();
-        }
-        ++report_.checks;
-        auto& per_group = last_release_[group.id];
-        const auto it = per_group.find(record.packet_id);
-        if (it != per_group.end() &&
-            record.at_ns - it->second <= kDuplicateWindowNs) {
-          ++duplicates_;
-          const std::string_view name = record.component.text();
-          char buf[160];
-          std::snprintf(
-              buf, sizeof buf,
-              "%.*s: duplicate egress of %016llx at t=%lld (previous t=%lld)",
-              static_cast<int>(name.size()), name.data(),
-              static_cast<unsigned long long>(record.packet_id),
-              static_cast<long long>(record.at_ns),
-              static_cast<long long>(it->second));
-          report_.note(buf);
-        }
-        per_group[record.packet_id] = record.at_ns;
-        release_log_.emplace_back(record.at_ns, group.id, record.packet_id);
+        check_repeat(record, group, "duplicate egress of");
       }
       break;
     }
-    case obs::TraceEvent::kFailoverReroute: {
+    case obs::TraceEvent::kFailoverReroute:
       ++reroutes_;
-      if (!config_.check_duplicates || !config_.audit_reroutes) break;
       // Same duplicate-window audit as egress, keyed by the emitting
       // switch: every detour hop rewrites the VID (new content hash), so
       // a repeat of the same id at the same switch is a genuine loop.
-      const EgressGroup group = egress_group(record.component);
-      while (!release_log_.empty() &&
-             record.at_ns - std::get<0>(release_log_.front()) >
-                 kDuplicateWindowNs) {
-        const auto& [ns, gid, id] = release_log_.front();
-        auto& stale = last_release_[gid];
-        const auto iit = stale.find(id);
-        if (iit != stale.end() && iit->second == ns) stale.erase(iit);
-        release_log_.pop_front();
+      if (config_.check_duplicates && config_.audit_reroutes) {
+        check_repeat(record, egress_group(record.component), "reroute loop on");
       }
-      ++report_.checks;
-      auto& per_group = last_release_[group.id];
-      const auto it = per_group.find(record.packet_id);
-      if (it != per_group.end() &&
-          record.at_ns - it->second <= kDuplicateWindowNs) {
-        ++duplicates_;
-        const std::string_view name = record.component.text();
-        char buf[160];
-        std::snprintf(
-            buf, sizeof buf,
-            "%.*s: reroute loop on %016llx at t=%lld (previous t=%lld)",
-            static_cast<int>(name.size()), name.data(),
-            static_cast<unsigned long long>(record.packet_id),
-            static_cast<long long>(record.at_ns),
-            static_cast<long long>(it->second));
-        report_.note(buf);
-      }
-      per_group[record.packet_id] = record.at_ns;
-      release_log_.emplace_back(record.at_ns, group.id, record.packet_id);
       break;
-    }
     case obs::TraceEvent::kCompareEvictTimeout:
     case obs::TraceEvent::kCompareEvictCapacity:
     case obs::TraceEvent::kCompareEvictQuota:

@@ -10,7 +10,8 @@
 //
 //  * QuorumTraceChecker validates the *protocol* from the trace stream:
 //    every compare.release must be preceded by ingests from a strict
-//    majority of replicas (or at least one in kFirstCopy detection mode).
+//    majority of the live replicas (or at least one in kFirstCopy
+//    detection mode).
 //    It sits in the trace path as a TraceSink and folds every record's
 //    fixed binary fields into a stream hash — the determinism fingerprint
 //    the soak compares across same-seed runs without buffering or
@@ -25,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/hash.h"
 #include "netco/compare_core.h"
 #include "obs/trace.h"
@@ -60,17 +62,15 @@ void check_audit(const core::CompareAudit& audit, const std::string& where,
 class QuorumTraceChecker final : public obs::TraceSink {
  public:
   struct Config {
-    /// Votes required for a legal release (k/2+1 in kMajority mode).
-    int quorum = 2;
     /// kFirstCopy detection mode: a release needs only one vote.
     bool first_copy = false;
-    /// Replica count. When > 0 the checker tracks health.quarantine /
-    /// health.readmit / health.ban records from the stream and validates
-    /// against the *adaptive* quorum: votes from quarantined replicas
+    /// Replica count (>= 1). The checker tracks health.quarantine /
+    /// health.readmit / health.ban records from the stream and applies
+    /// CompareCore's adaptive quorum: votes from quarantined replicas
     /// don't count, the requirement is a strict majority over the live
-    /// set, and a live set of ≤ 2 falls back to first-copy mode — the
-    /// same rules CompareCore applies. 0 keeps the fixed legacy check.
-    int k = 0;
+    /// set, and a live set of ≤ 2 falls back to first-copy mode. The
+    /// default's majority of 3 is 2 votes.
+    int k = 3;
     /// At-most-once egress check (resilience soaks): a second release of
     /// the same packet id for the same edge within 50 ms is a violation.
     /// Egress is grouped by the component's suffix after '/'
@@ -89,7 +89,9 @@ class QuorumTraceChecker final : public obs::TraceSink {
     bool audit_reroutes = false;
   };
 
-  explicit QuorumTraceChecker(Config config) : config_(config) {}
+  explicit QuorumTraceChecker(Config config) : config_(config) {
+    NETCO_ASSERT(config.k >= 1);
+  }
 
   void append(const obs::TraceRecord& record) override;
 
@@ -133,7 +135,7 @@ class QuorumTraceChecker final : public obs::TraceSink {
   std::uint64_t releases_ = 0;
   std::uint64_t hash_ = kFnvOffset;
   std::uint64_t egress_hash_ = 0;
-  /// Bit per replica currently quarantined or banned (config_.k mode).
+  /// Bit per replica currently quarantined or banned.
   std::uint64_t quarantined_mask_ = 0;
   /// (component id, packet id) → replica vote bitmask. Entries die with
   /// their cache entry (release verdict, eviction, or expiry), so the map
@@ -157,6 +159,12 @@ class QuorumTraceChecker final : public obs::TraceSink {
     std::uint64_t name_fnv = 0;
   };
   [[nodiscard]] EgressGroup egress_group(obs::ComponentName component);
+  /// The duplicate-window check shared by egress and reroute records: a
+  /// second record of the record's packet id in its group within the
+  /// window is a violation, described by `what` ("duplicate egress of",
+  /// "reroute loop on").
+  void check_repeat(const obs::TraceRecord& record, EgressGroup group,
+                    const char* what);
   std::vector<std::optional<EgressGroup>> group_by_component_;
   std::unordered_map<std::string, EgressGroup> group_by_suffix_;
   /// Duplicate-egress tracking (check_duplicates mode): per egress group,

@@ -150,7 +150,7 @@ TEST(FailoverCompiler, SkipsWrappedCombinerPosition) {
 
 TEST(RerouteAudit, FlagsSameStateRevisitAsLoop) {
   faultinject::QuorumTraceChecker checker(
-      {.quorum = 1, .check_duplicates = true, .audit_reroutes = true});
+      {.k = 1, .check_duplicates = true, .audit_reroutes = true});
   obs::TraceRecord record;
   record.event = obs::TraceEvent::kFailoverReroute;
   record.component = obs::ComponentName::intern("netco-a0-0");
@@ -173,7 +173,7 @@ TEST(RerouteAudit, FlagsSameStateRevisitAsLoop) {
 }
 
 TEST(RerouteAudit, DisabledByDefault) {
-  faultinject::QuorumTraceChecker checker({.quorum = 1,
+  faultinject::QuorumTraceChecker checker({.k = 1,
                                            .check_duplicates = true});
   obs::TraceRecord record;
   record.event = obs::TraceEvent::kFailoverReroute;

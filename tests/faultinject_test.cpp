@@ -379,7 +379,7 @@ TEST(CheckAudit, TripsOnUnorderedAgeList) {
 // --- QuorumTraceChecker ---------------------------------------------------
 
 TEST(QuorumTraceChecker, AcceptsQuorumBackedRelease) {
-  QuorumTraceChecker checker({.quorum = 2, .first_copy = false});
+  QuorumTraceChecker checker({});
   checker.append(record(obs::TraceEvent::kCompareIngest, 1, 0));
   checker.append(record(obs::TraceEvent::kCompareIngest, 1, 1));
   checker.append(record(obs::TraceEvent::kCompareRelease, 1, 1));
@@ -388,14 +388,14 @@ TEST(QuorumTraceChecker, AcceptsQuorumBackedRelease) {
 }
 
 TEST(QuorumTraceChecker, TripsOnReleaseWithoutQuorum) {
-  QuorumTraceChecker checker({.quorum = 2, .first_copy = false});
+  QuorumTraceChecker checker({});
   checker.append(record(obs::TraceEvent::kCompareIngest, 1, 0));
   checker.append(record(obs::TraceEvent::kCompareRelease, 1, 0));
   EXPECT_FALSE(checker.report().ok());
 }
 
 TEST(QuorumTraceChecker, SameReplicaDuplicateVoteDoesNotCount) {
-  QuorumTraceChecker checker({.quorum = 2, .first_copy = false});
+  QuorumTraceChecker checker({});
   // Two ingests from the same replica set the same bit: still one vote.
   checker.append(record(obs::TraceEvent::kCompareIngest, 1, 0));
   checker.append(record(obs::TraceEvent::kCompareIngest, 1, 0));
@@ -404,14 +404,14 @@ TEST(QuorumTraceChecker, SameReplicaDuplicateVoteDoesNotCount) {
 }
 
 TEST(QuorumTraceChecker, FirstCopyModeAcceptsSingleVote) {
-  QuorumTraceChecker checker({.quorum = 2, .first_copy = true});
+  QuorumTraceChecker checker({.first_copy = true});
   checker.append(record(obs::TraceEvent::kCompareIngest, 1, 0));
   checker.append(record(obs::TraceEvent::kCompareRelease, 1, 0));
   EXPECT_TRUE(checker.report().ok());
 }
 
 TEST(QuorumTraceChecker, EvictionClearsVotes) {
-  QuorumTraceChecker checker({.quorum = 2, .first_copy = false});
+  QuorumTraceChecker checker({});
   checker.append(record(obs::TraceEvent::kCompareIngest, 1, 0));
   checker.append(record(obs::TraceEvent::kCompareEvictTimeout, 1, 0));
   // The id reappears (retransmission): old votes must not carry over.
@@ -421,7 +421,7 @@ TEST(QuorumTraceChecker, EvictionClearsVotes) {
 }
 
 TEST(QuorumTraceChecker, ComponentsAreIndependent) {
-  QuorumTraceChecker checker({.quorum = 2, .first_copy = false});
+  QuorumTraceChecker checker({});
   // Two votes at e0 must not legitimise a release at e1.
   checker.append(record(obs::TraceEvent::kCompareIngest, 1, 0, "e0"));
   checker.append(record(obs::TraceEvent::kCompareIngest, 1, 1, "e0"));
@@ -430,9 +430,9 @@ TEST(QuorumTraceChecker, ComponentsAreIndependent) {
 }
 
 TEST(QuorumTraceChecker, StreamHashDeterministicAndOrderSensitive) {
-  QuorumTraceChecker a({.quorum = 2});
-  QuorumTraceChecker b({.quorum = 2});
-  QuorumTraceChecker c({.quorum = 2});
+  QuorumTraceChecker a({});
+  QuorumTraceChecker b({});
+  QuorumTraceChecker c({});
   const auto r1 = record(obs::TraceEvent::kCompareIngest, 1, 0);
   const auto r2 = record(obs::TraceEvent::kCompareIngest, 2, 1);
   a.append(r1);
@@ -460,7 +460,7 @@ TEST(QuorumTraceChecker, StreamHashCoversEveryField) {
   streams[6].component = obs::ComponentName::intern("compare/other");
   std::set<std::uint64_t> hashes;
   for (const obs::TraceRecord& r : streams) {
-    QuorumTraceChecker checker({.quorum = 2});
+    QuorumTraceChecker checker({});
     checker.append(r);
     hashes.insert(checker.stream_hash());
   }
@@ -472,7 +472,7 @@ TEST(QuorumTraceChecker, StreamHashCoversEveryField) {
 TEST(QuorumTraceChecker, FastpathReleaseCountsItsOwnVote) {
   // The sampled mode's thinned trace: the release record itself names the
   // deciding replica, with no separate ingest record preceding it.
-  QuorumTraceChecker checker({.quorum = 2, .first_copy = false});
+  QuorumTraceChecker checker({});
   checker.append(record(obs::TraceEvent::kCompareFastpath, 1, 0));
   EXPECT_TRUE(checker.report().ok());
   EXPECT_EQ(checker.releases(), 1u);
@@ -480,25 +480,12 @@ TEST(QuorumTraceChecker, FastpathReleaseCountsItsOwnVote) {
 
 TEST(QuorumTraceChecker, FastpathReleaseFromQuarantinedReplicaTrips) {
   QuorumTraceChecker::Config cfg;
-  cfg.quorum = 3;
-  cfg.k = 5;  // adaptive mode: track health records from the stream
+  cfg.k = 5;
   QuorumTraceChecker checker(cfg);
   checker.append(record(obs::TraceEvent::kHealthQuarantine, 0, 2, "health"));
   checker.append(record(obs::TraceEvent::kCompareFastpath, 1, 2));
   EXPECT_FALSE(checker.report().ok())
       << "a quarantined replica's first copy must never be trusted";
-}
-
-TEST(QuorumTraceChecker, FastpathFromQuarantinedTripsWithoutAdaptiveMode) {
-  // The k == 0 (non-adaptive) config must still reject a quarantined
-  // deciding replica: the fast-path release vote is OR'd in from the
-  // release record itself, so it would otherwise bypass the quarantine
-  // filter that adaptive mode applies to the counted mask.
-  QuorumTraceChecker checker({.quorum = 2, .first_copy = false});
-  checker.append(record(obs::TraceEvent::kHealthQuarantine, 0, 2, "health"));
-  checker.append(record(obs::TraceEvent::kCompareFastpath, 1, 2));
-  EXPECT_FALSE(checker.report().ok())
-      << "quarantined fast-path vote passed the non-adaptive checker";
 }
 
 TEST(QuorumTraceChecker, DuplicateEgressOnSameWireCounted) {
@@ -527,8 +514,8 @@ TEST(QuorumTraceChecker, DuplicateEgressOnSameWireCounted) {
 TEST(QuorumTraceChecker, EgressSetHashIsOrderIndependent) {
   // The differential anchor: two runs that release the same multiset of
   // packets onto the same wires agree, whatever the interleaving.
-  QuorumTraceChecker a({.quorum = 2});
-  QuorumTraceChecker b({.quorum = 2});
+  QuorumTraceChecker a({});
+  QuorumTraceChecker b({});
   a.append(record(obs::TraceEvent::kCompareFastpath, 1, 0, "compare/e0"));
   a.append(record(obs::TraceEvent::kCompareFastpath, 2, 1, "compare/e1"));
   b.append(record(obs::TraceEvent::kCompareFastpath, 2, 1, "compare/e1"));
@@ -536,7 +523,7 @@ TEST(QuorumTraceChecker, EgressSetHashIsOrderIndependent) {
   EXPECT_EQ(a.egress_set_hash(), b.egress_set_hash());
   EXPECT_NE(a.stream_hash(), b.stream_hash());  // order still fingerprinted
 
-  QuorumTraceChecker c({.quorum = 2});
+  QuorumTraceChecker c({});
   c.append(record(obs::TraceEvent::kCompareFastpath, 1, 0, "compare/e0"));
   c.append(record(obs::TraceEvent::kCompareFastpath, 3, 1, "compare/e1"));
   EXPECT_NE(a.egress_set_hash(), c.egress_set_hash());
