@@ -7,21 +7,20 @@
 // sweeping the shard count. Checks, all load-bearing:
 //   * merged stream/egress hashes identical for shards ∈ {1, 2, 4};
 //   * a same-seed double run at shards=4 is bit-deterministic;
-//   * a 1-circuit sharded run reproduces run_soak() for each BENCH_soak
-//     configuration (so shards=1 preserves today's recorded hashes);
+//   * a 1-circuit sharded run reproduces run_soak() for each soak_netco
+//     baseline configuration (so shards=1 preserves its recorded hashes);
 //   * every circuit's invariant checkers (duplicate egress armed via the
 //     sampled fast path, quorum checks) stay green across shard
 //     boundaries.
-// The shard sweep's aggregate wall-pps lands in BENCH_soak.json under
-// "datacenter" (appended after soak_netco's summary; re-runs replace the
-// section). Speedup is reported against hardware_threads — on a 1-core
-// host the sweep measures barrier overhead, not parallelism.
+// The shard sweep's aggregate wall-pps lands in BENCH_datacenter.json.
+// Speedup is reported against hardware_threads — on a 1-core host the
+// sweep measures barrier overhead, not parallelism.
 //
 // Env knobs:
 //   NETCO_DC_CIRCUITS=n  — fleet size (default 64)
 //   NETCO_DC_PACKETS=n   — datagrams per circuit (default 4000)
 //   NETCO_BENCH_QUICK=1  — small CI-sized fleet runs (500 packets)
-//   NETCO_SOAK_OUT=path  — summary path (default BENCH_soak.json)
+//   NETCO_SOAK_OUT=path  — summary path (default BENCH_datacenter.json)
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -38,7 +37,7 @@ using namespace netco;
 using bench::env_u64;
 using bench::hash_hex;
 
-/// The BENCH_soak baseline circuits (soak_netco.cpp keeps the canonical
+/// soak_netco's baseline circuits (soak_netco.cpp keeps the canonical
 /// copies of these configs and their recorded stream hashes).
 scenario::SoakOptions baseline_config(int k, core::ReleasePolicy policy,
                                       std::uint64_t rate_mbps,
@@ -246,14 +245,16 @@ int main() {
                 static_cast<unsigned long long>(packets), hardware_threads,
                 speedup, hash_invariant ? "true" : "false",
                 deterministic ? "true" : "false");
-  const std::string section = std::string(head) + "\"sweep\":" + sweep_json +
+  const std::string summary = std::string(head) + "\"sweep\":" + sweep_json +
                               ",\"baseline\":" + baseline_json +
                               ",\"verdict\":\"" + (all_ok ? "pass" : "fail") +
                               "\"}";
 
   const char* out_path = std::getenv("NETCO_SOAK_OUT");
-  if (out_path == nullptr || *out_path == '\0') out_path = "BENCH_soak.json";
-  netco::bench::merge_bench_section(out_path, "datacenter", section);
+  if (out_path == nullptr || *out_path == '\0') {
+    out_path = "BENCH_datacenter.json";
+  }
+  netco::bench::write_bench_file(out_path, summary);
   std::printf("\nDatacenter sweep recorded in %s\n", out_path);
 
   std::printf("\nDatacenter fleet verdict: %s\n", all_ok ? "PASS" : "FAIL");

@@ -18,12 +18,11 @@
 // boundary made measurable) but not gated, since it is the expected
 // failure mode, not a regression signal.
 //
-// Results land in the "routing" section of BENCH_soak.json (idempotent
-// merge next to the soak base and the "datacenter"/"workload" sections).
+// Results land in BENCH_routing.json.
 //
 // Env knobs:
 //   NETCO_BENCH_QUICK=1  — short horizon (CI smoke)
-//   NETCO_SOAK_OUT=path  — summary path (default BENCH_soak.json)
+//   NETCO_SOAK_OUT=path  — summary path (default BENCH_routing.json)
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -143,13 +142,13 @@ int main() {
                 quick ? "true" : "false", to_string(base.attack),
                 static_cast<unsigned long long>(base.seed),
                 deterministic ? "true" : "false");
-  const std::string section = std::string(head) + "\"configs\":" + configs +
+  const std::string summary = std::string(head) + "\"configs\":" + configs +
                               ",\"verdict\":\"" + (ok ? "pass" : "fail") +
                               "\"}";
 
   const char* out_path = std::getenv("NETCO_SOAK_OUT");
-  if (out_path == nullptr || *out_path == '\0') out_path = "BENCH_soak.json";
-  bench::merge_bench_section(out_path, "routing", section);
+  if (out_path == nullptr || *out_path == '\0') out_path = "BENCH_routing.json";
+  bench::write_bench_file(out_path, summary);
   std::printf("\nRouting convergence matrix recorded in %s\n", out_path);
 
   std::printf("\nRouting convergence verdict: %s\n", ok ? "PASS" : "FAIL");

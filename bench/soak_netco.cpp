@@ -318,9 +318,7 @@ int main() {
 
   const char* out_path = std::getenv("NETCO_SOAK_OUT");
   if (out_path == nullptr || *out_path == '\0') out_path = "BENCH_soak.json";
-  // Regenerating the base summary must not clobber the sections the
-  // datacenter and workload benches appended to the same file.
-  netco::bench::write_bench_base(out_path, json);
+  netco::bench::write_bench_file(out_path, json);
   std::printf("\nSummary written to %s\n", out_path);
 
   std::printf("\nSoak verdict: %s\n", all_ok ? "PASS" : "FAIL");

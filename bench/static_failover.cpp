@@ -21,12 +21,11 @@
 // honestly (the measured limit, not a claim), since past that point the
 // closed-loop resilience layers have to take over.
 //
-// Results land in the "static_failover" section of BENCH_soak.json
-// (idempotent merge next to the soak base and the other sections).
+// Results land in BENCH_static_failover.json.
 //
 // Env knobs:
 //   NETCO_BENCH_QUICK=1  — smaller sweep + shorter horizon (CI smoke)
-//   NETCO_SOAK_OUT=path  — summary path (default BENCH_soak.json)
+//   NETCO_SOAK_OUT=path  — summary path (default BENCH_static_failover.json)
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -202,13 +201,15 @@ int main() {
                 scenario::FailoverOptions::kRadix, sweep_max,
                 max_absorbed, handoff,
                 deterministic ? "true" : "false");
-  const std::string section = std::string(head) + "\"configs\":" + configs +
+  const std::string summary = std::string(head) + "\"configs\":" + configs +
                               ",\"verdict\":\"" + (ok ? "pass" : "fail") +
                               "\"}";
 
   const char* out_path = std::getenv("NETCO_SOAK_OUT");
-  if (out_path == nullptr || *out_path == '\0') out_path = "BENCH_soak.json";
-  bench::merge_bench_section(out_path, "static_failover", section);
+  if (out_path == nullptr || *out_path == '\0') {
+    out_path = "BENCH_static_failover.json";
+  }
+  bench::write_bench_file(out_path, summary);
   std::printf("\nStatic-failover sweep recorded in %s (max absorbed: %d, "
               "handoff at: %d)\n",
               out_path, max_absorbed, handoff);

@@ -9,11 +9,9 @@
 //     rate is measured and enforced (the bar catches any per-flow
 //     allocation creeping back in).
 //  2. SLO sweep: each scenario runs at increasing offered session rates;
-//     goodput and FCT p50/p95/p99 land in BENCH_soak.json under the
-//     "workload" section (merged idempotently next to soak_netco's base
-//     summary and casestudy's "datacenter" section). One mid-load config
-//     is run twice same-seed (bit determinism), and a small sharded fleet
-//     checks merged-hash shard-count invariance.
+//     goodput and FCT p50/p95/p99 land in BENCH_workload.json. One
+//     mid-load config is run twice same-seed (bit determinism), and a
+//     small sharded fleet checks merged-hash shard-count invariance.
 //
 // Verdict (exit status): 0 iff every run held its invariants, the
 // double run was bit-identical, the fleet hashes were shard-invariant,
@@ -21,7 +19,7 @@
 //
 // Env knobs:
 //   NETCO_BENCH_QUICK=1  — short CI-sized sweeps (fewer loads, shorter runs)
-//   NETCO_SOAK_OUT=path  — summary path (default BENCH_soak.json)
+//   NETCO_SOAK_OUT=path  — summary path (default BENCH_workload.json)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -249,7 +247,7 @@ int main() {
   std::printf("2-circuit fleet, shards 1 vs 2: %s\n",
               fleet_invariant ? "merged hashes invariant" : "MISMATCH");
 
-  // --- BENCH_soak.json "workload" section ---------------------------------
+  // --- BENCH_workload.json --------------------------------------------------
   char head[512];
   std::snprintf(
       head, sizeof head,
@@ -263,14 +261,16 @@ int main() {
       capacity.setup_rate_per_sec, kSetupBarPerSec,
       capacity.pass ? "true" : "false", deterministic ? "true" : "false",
       fleet_invariant ? "true" : "false");
-  const std::string section = std::string(head) +
+  const std::string summary = std::string(head) +
                               "\"scenarios\":" + scenarios_json +
                               ",\"verdict\":\"" +
                               (all_ok ? "pass" : "fail") + "\"}";
 
   const char* out_path = std::getenv("NETCO_SOAK_OUT");
-  if (out_path == nullptr || *out_path == '\0') out_path = "BENCH_soak.json";
-  bench::merge_bench_section(out_path, "workload", section);
+  if (out_path == nullptr || *out_path == '\0') {
+    out_path = "BENCH_workload.json";
+  }
+  bench::write_bench_file(out_path, summary);
   std::printf("\nWorkload SLO curves recorded in %s\n", out_path);
 
   std::printf("\nWorkload SLO verdict: %s\n", all_ok ? "PASS" : "FAIL");
