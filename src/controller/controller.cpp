@@ -83,7 +83,6 @@ void Controller::drain() {
   simulator_.schedule_after(cost, [this] {
     Pending item = std::move(queue_.front());
     queue_.pop_front();
-    ++stats_.packet_ins_processed;
     app_.on_packet_in(*this, *item.channel, std::move(item.event));
     drain();
   });

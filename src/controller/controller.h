@@ -72,7 +72,6 @@ class App {
 /// Controller runtime statistics.
 struct ControllerStats {
   std::uint64_t packet_ins_received = 0;
-  std::uint64_t packet_ins_processed = 0;
   std::uint64_t packet_ins_dropped = 0;  ///< queue overflow
   std::size_t max_queue_depth = 0;
 };

@@ -54,12 +54,6 @@ class Network {
     return nodes_;
   }
 
-  /// All links, in creation order.
-  [[nodiscard]] const std::vector<std::unique_ptr<link::Link>>& links()
-      const noexcept {
-    return links_;
-  }
-
   /// The event loop driving this network.
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
 

@@ -45,8 +45,6 @@ class FaultInjector {
   /// a compare) are not counted.
   [[nodiscard]] std::size_t applied() const noexcept { return applied_; }
 
-  [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-
  private:
   void apply(const FaultEvent& event);
   void set_replica_links_down(int replica, bool down);

@@ -112,9 +112,6 @@ class HealthMonitor {
   [[nodiscard]] const ReplicaHealth& replica(int index) const {
     return replicas_[static_cast<std::size_t>(index)];
   }
-  [[nodiscard]] int k() const noexcept {
-    return static_cast<int>(replicas_.size());
-  }
   /// Replicas currently in kLive.
   [[nodiscard]] int live_replicas() const noexcept;
 

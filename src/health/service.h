@@ -52,9 +52,6 @@ class QuarantineManager {
   [[nodiscard]] bool quarantined(int replica) const noexcept {
     return (quarantined_mask_ & bit(replica)) != 0;
   }
-  [[nodiscard]] bool banned(int replica) const noexcept {
-    return (banned_mask_ & bit(replica)) != 0;
-  }
   /// Probation windows opened so far.
   [[nodiscard]] std::uint64_t probe_windows() const noexcept {
     return probe_windows_;
@@ -108,9 +105,6 @@ class HealthService final : public core::VerdictSink {
 
   void on_verdict(const core::ReplicaVerdict& verdict) override;
 
-  [[nodiscard]] const HealthMonitor& monitor() const noexcept {
-    return monitor_;
-  }
   [[nodiscard]] const QuarantineManager& manager() const noexcept {
     return manager_;
   }

@@ -113,7 +113,6 @@ void Host::rx_deliver(net::Packet packet) {
     if (parsed->icmp->type == net::kIcmpEchoRequest) {
       answer_echo(*parsed, packet);
     } else if (parsed->icmp->type == net::kIcmpEchoReply) {
-      ++stats_.icmp_echo_replies;
       if (icmp_reply_handler_) icmp_reply_handler_(*parsed, packet);
     }
     return;

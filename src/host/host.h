@@ -65,7 +65,6 @@ struct HostStats {
   std::uint64_t rx_bad_checksum = 0;
   std::uint64_t tx_packets = 0;
   std::uint64_t icmp_echo_requests = 0;  ///< requests answered
-  std::uint64_t icmp_echo_replies = 0;   ///< replies delivered to a pinger
 };
 
 /// An end host with one NIC (port 0).

@@ -88,7 +88,6 @@ void UdpSender::tick() {
                      if (!guard || !*guard) return;  // sender died
                      --pending_;
                      ++stats_.datagrams_sent;
-                     stats_.payload_bytes_sent += config_.payload_bytes;
                      host_.transmit(std::move(p));
                    });
 }

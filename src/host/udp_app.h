@@ -31,7 +31,6 @@ struct UdpSenderConfig {
 /// Sender counters.
 struct UdpSenderStats {
   std::uint64_t datagrams_sent = 0;
-  std::uint64_t payload_bytes_sent = 0;
   std::uint64_t pacing_skips = 0;  ///< ticks skipped because CPU fell behind
 };
 

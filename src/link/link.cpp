@@ -46,7 +46,6 @@ void Channel::send(net::Packet packet) {
   }
   if (queued_bytes_ + packet.size() > config_.queue_bytes) {
     ++stats_.dropped_packets;
-    stats_.dropped_bytes += packet.size();
     drop_counter_->inc();
     obs::Tracer& tracer = obs_->tracer;
     if (tracer.enabled()) {

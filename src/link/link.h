@@ -41,7 +41,6 @@ struct LinkStats {
   std::uint64_t tx_packets = 0;
   std::uint64_t tx_bytes = 0;
   std::uint64_t dropped_packets = 0;
-  std::uint64_t dropped_bytes = 0;
   std::uint64_t dropped_down = 0;     ///< dropped while the link was down
   std::uint64_t dropped_loss = 0;     ///< fault-injected random loss
   std::uint64_t max_queue_bytes = 0;  ///< high-water mark
@@ -91,14 +90,10 @@ class Channel {
   /// discarded with probability `rate` (draws come from the simulator's
   /// seeded RNG, so runs stay bit-reproducible). 0 disables.
   void set_loss(double rate) noexcept { loss_rate_ = rate; }
-  [[nodiscard]] double loss_rate() const noexcept { return loss_rate_; }
 
   /// Fault injection: additional one-way delay on top of the configured
   /// propagation (a latency ramp mid-run). Zero disables.
   void set_extra_latency(sim::Duration extra) noexcept { extra_latency_ = extra; }
-  [[nodiscard]] sim::Duration extra_latency() const noexcept {
-    return extra_latency_;
-  }
 
   /// Name stamped on this channel's trace records ("s1->r2"). Defaults to
   /// "link"; Network::connect() labels both directions from the node names.
@@ -106,15 +101,9 @@ class Channel {
     label_ = std::move(label);
     trace_name_.reset();
   }
-  [[nodiscard]] const std::string& label() const noexcept { return label_; }
 
   /// Counters for this direction.
   [[nodiscard]] const LinkStats& stats() const noexcept { return stats_; }
-
-  /// Current queue occupancy in bytes (excludes the in-flight packet).
-  [[nodiscard]] std::size_t queued_bytes() const noexcept {
-    return queued_bytes_;
-  }
 
   /// The configuration this channel runs with.
   [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }

@@ -295,7 +295,6 @@ class CompareCore {
   /// (so a late promotion cannot re-emit it) and counted in
   /// stats().shadow_releases. Promotion flips this off.
   void set_shadow(bool shadow) noexcept { shadow_ = shadow; }
-  [[nodiscard]] bool shadow() const noexcept { return shadow_; }
 
   // --- replica-health integration (src/health) -------------------------
 
@@ -343,9 +342,6 @@ class CompareCore {
   void set_trace_label(std::string label) {
     trace_label_ = std::move(label);
     trace_name_.reset();
-  }
-  [[nodiscard]] const std::string& trace_label() const noexcept {
-    return trace_label_;
   }
 
  private:

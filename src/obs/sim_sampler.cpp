@@ -32,7 +32,6 @@ void SimulatorSampler::tick() {
   executed_.inc(executed - last_executed_);
   last_executed_ = executed;
   sample_count_.inc();
-  ++samples_;
   handle_ = simulator_.schedule_after(kPeriod, [this] { tick(); });
 }
 

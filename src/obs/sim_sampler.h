@@ -30,9 +30,6 @@ class SimulatorSampler {
   /// Cancels the pending sample; idempotent.
   void stop() noexcept;
 
-  /// Samples taken so far.
-  [[nodiscard]] std::uint64_t samples() const noexcept { return samples_; }
-
  private:
   void tick();
 
@@ -42,7 +39,6 @@ class SimulatorSampler {
   Counter& executed_;
   Counter& sample_count_;
   std::uint64_t last_executed_ = 0;
-  std::uint64_t samples_ = 0;
   sim::EventHandle handle_;
 };
 

@@ -141,7 +141,6 @@ void JsonlFileSink::append(const TraceRecord& record) {
   const std::size_t wrote = std::fwrite(line.data(), 1, line.size(), file_);
   const bool ok = wrote == line.size() && std::fputc('\n', file_) != EOF;
   NETCO_ASSERT_MSG(ok, "trace sink: short write (disk full?)");
-  ++lines_;
 }
 
 void JsonlFileSink::flush() {

@@ -231,13 +231,8 @@ class JsonlFileSink final : public TraceSink {
   /// Flushes buffered records to the OS; asserts on failure.
   void flush();
 
-  [[nodiscard]] std::uint64_t lines_written() const noexcept {
-    return lines_;
-  }
-
  private:
   std::FILE* file_ = nullptr;
-  std::uint64_t lines_ = 0;
 };
 
 /// The emit front-end components talk to. Disabled (no sink) by default.

@@ -26,7 +26,6 @@ sim::Duration ControlChannel::jittered_latency() noexcept {
 }
 
 void ControlChannel::packet_in(PacketIn event) {
-  ++packet_ins_;
   simulator_.schedule_after(jittered_latency(),
                             [this, e = std::move(event)]() mutable {
                               endpoint_.on_packet_in(*this, std::move(e));
@@ -34,14 +33,12 @@ void ControlChannel::packet_in(PacketIn event) {
 }
 
 void ControlChannel::flow_mod(FlowMod mod) {
-  ++to_switch_;
   simulator_.schedule_after(jittered_latency(), [this, m = std::move(mod)] {
     switch_.receive_flow_mod(m);
   });
 }
 
 void ControlChannel::packet_out(PacketOut out) {
-  ++to_switch_;
   simulator_.schedule_after(jittered_latency(),
                             [this, o = std::move(out)]() mutable {
                               switch_.receive_packet_out(std::move(o));
@@ -50,7 +47,6 @@ void ControlChannel::packet_out(PacketOut out) {
 
 void ControlChannel::request_flow_stats(const Match& pattern,
                                         FlowStatsCallback done) {
-  ++to_switch_;
   simulator_.schedule_after(
       jittered_latency(), [this, pattern, done = std::move(done)] {
         // Snapshot on the switch, then the reply travels back.
@@ -74,7 +70,6 @@ void ControlChannel::request_flow_stats(const Match& pattern,
 }
 
 void ControlChannel::port_mod(PortMod mod) {
-  ++to_switch_;
   simulator_.schedule_after(jittered_latency(),
                             [this, mod] { switch_.receive_port_mod(mod); });
 }

@@ -65,15 +65,6 @@ class ControlChannel {
   /// The switch this channel controls.
   [[nodiscard]] OpenFlowSwitch& attached_switch() noexcept { return switch_; }
 
-  /// One-way latency of this channel.
-  [[nodiscard]] sim::Duration latency() const noexcept { return latency_; }
-
-  /// Counters (messages shipped each way).
-  [[nodiscard]] std::uint64_t packet_ins() const noexcept { return packet_ins_; }
-  [[nodiscard]] std::uint64_t messages_to_switch() const noexcept {
-    return to_switch_;
-  }
-
  private:
   [[nodiscard]] sim::Duration jittered_latency() noexcept;
 
@@ -82,8 +73,6 @@ class ControlChannel {
   ControllerEndpoint& endpoint_;
   sim::Duration latency_;
   sim::Duration latency_jitter_;
-  std::uint64_t packet_ins_ = 0;
-  std::uint64_t to_switch_ = 0;
 };
 
 }  // namespace netco::openflow

@@ -70,20 +70,6 @@ class Match {
   /// Bitmask of participating fields.
   [[nodiscard]] std::uint32_t present() const noexcept { return present_; }
 
-  // --- field accessors (meaningful only if the bit is present) ----------
-  [[nodiscard]] device::PortIndex in_port() const noexcept { return in_port_; }
-  [[nodiscard]] const net::MacAddress& dl_src() const noexcept { return dl_src_; }
-  [[nodiscard]] const net::MacAddress& dl_dst() const noexcept { return dl_dst_; }
-  [[nodiscard]] std::uint16_t dl_vlan() const noexcept { return dl_vlan_; }
-  [[nodiscard]] std::uint8_t dl_vlan_pcp() const noexcept { return dl_vlan_pcp_; }
-  [[nodiscard]] std::uint16_t dl_type() const noexcept { return dl_type_; }
-  [[nodiscard]] net::Ipv4Address nw_src() const noexcept { return nw_src_; }
-  [[nodiscard]] net::Ipv4Address nw_dst() const noexcept { return nw_dst_; }
-  [[nodiscard]] std::uint8_t nw_proto() const noexcept { return nw_proto_; }
-  [[nodiscard]] std::uint8_t nw_tos() const noexcept { return nw_tos_; }
-  [[nodiscard]] std::uint16_t tp_src() const noexcept { return tp_src_; }
-  [[nodiscard]] std::uint16_t tp_dst() const noexcept { return tp_dst_; }
-
   /// Debug rendering, e.g. "in_port=2 dl_dst=02:..:05".
   [[nodiscard]] std::string to_string() const;
 

@@ -49,7 +49,6 @@ void OpenFlowSwitch::handle_packet(device::PortIndex in_port,
     return;
   }
   ++stats_.rx_packets;
-  stats_.rx_bytes += packet.size();
   if (port_rx_.size() <= in_port) port_rx_.resize(in_port + 1, 0);
   ++port_rx_[in_port];
 

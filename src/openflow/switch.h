@@ -44,7 +44,6 @@ struct SwitchProfile {
 /// Datapath counters.
 struct SwitchStats {
   std::uint64_t rx_packets = 0;
-  std::uint64_t rx_bytes = 0;
   std::uint64_t tx_packets = 0;
   std::uint64_t tx_bytes = 0;
   std::uint64_t table_misses = 0;

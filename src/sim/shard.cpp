@@ -41,7 +41,6 @@ void ShardChannel::post(TimePoint send_time, TimePoint deliver_at,
       deliver_at >= send_time + lookahead_,
       "cross-shard delivery undercuts the channel's declared lookahead");
   Message msg{deliver_at.ns(), next_seq_++, std::move(fn)};
-  ++posted_;
   const std::size_t tail = tail_.load(std::memory_order_relaxed);
   const std::size_t head = head_.load(std::memory_order_acquire);
   if (tail - head < ring_.size()) {
@@ -52,7 +51,6 @@ void ShardChannel::post(TimePoint send_time, TimePoint deliver_at,
   // Ring full mid-round: overflow. The consumer only drains at the
   // barrier, so every overflow seq exceeds every ring seq — pop() keeps
   // per-channel order by draining the ring first.
-  ++overflow_posts_;
   std::lock_guard<std::mutex> lock(overflow_mutex_);
   overflow_.push_back(std::move(msg));
 }

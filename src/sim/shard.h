@@ -133,13 +133,6 @@ class ShardChannel {
   [[nodiscard]] std::size_t from() const noexcept { return from_; }
   [[nodiscard]] std::size_t to() const noexcept { return to_; }
   [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
-  /// Messages posted over the channel's lifetime (producer-side counter;
-  /// read it only while the producer is parked).
-  [[nodiscard]] std::uint64_t posted() const noexcept { return posted_; }
-  /// Messages that missed the ring and took the overflow path.
-  [[nodiscard]] std::uint64_t overflowed() const noexcept {
-    return overflow_posts_;
-  }
 
  private:
   std::size_t from_;
@@ -155,8 +148,6 @@ class ShardChannel {
 
   // Producer-side bookkeeping (single thread, no synchronization needed).
   std::uint64_t next_seq_ = 0;
-  std::uint64_t posted_ = 0;
-  std::uint64_t overflow_posts_ = 0;
 
   // Overflow path: engaged only when the ring fills mid-round. All
   // overflow seqs are larger than any ring seq at drain time (the ring
