@@ -88,8 +88,9 @@ int main() {
       scenario::ConvergenceOptions options = base;
       options.use_combiner = use_combiner;
       options.liars = liars;
-      Cell cell{.use_combiner = use_combiner, .liars = liars};
-      cell.result = scenario::run_convergence(options);
+      Cell cell{.use_combiner = use_combiner,
+                .liars = liars,
+                .result = scenario::run_convergence(options)};
       std::printf("%-12s %-6d %-10s %-12.1f %-12.4f %-9.4f %s\n",
                   use_combiner ? "combiner" : "unprotected", liars,
                   cell.result.converged_correct ? "yes" : "NO",

@@ -30,7 +30,7 @@ int main() {
     switch (mode) {
       case CaseStudyMode::kBaseline:
         std::printf("  => ten perfect cycles; both screening methods "
-                    "(interface taps, flow counters)\n"
+                    "(a core ingress tap, host MAC filters)\n"
                     "     confirm no packet strays from the benign path.\n\n");
         break;
       case CaseStudyMode::kAttacked:

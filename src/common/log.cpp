@@ -3,30 +3,10 @@
 #include <cstdio>
 
 namespace netco::log {
-namespace {
-
-Level g_threshold = Level::Warn;
-
-constexpr const char* level_name(Level level) noexcept {
-  switch (level) {
-    case Level::Trace: return "TRACE";
-    case Level::Debug: return "DEBUG";
-    case Level::Info:  return "INFO ";
-    case Level::Warn:  return "WARN ";
-    case Level::Error: return "ERROR";
-    case Level::Off:   return "OFF  ";
-  }
-  return "?????";
-}
-
-}  // namespace
-
-Level threshold() noexcept { return g_threshold; }
-
-void set_threshold(Level level) noexcept { g_threshold = level; }
 
 void write(Level level, std::string_view component, std::string_view message) {
-  std::fprintf(stderr, "[%s] %.*s: %.*s\n", level_name(level),
+  std::fprintf(stderr, "[%s] %.*s: %.*s\n",
+               level == Level::Warn ? "WARN " : "ERROR",
                static_cast<int>(component.size()), component.data(),
                static_cast<int>(message.size()), message.data());
 }

@@ -1,8 +1,7 @@
-// Minimal leveled logger.
+// Minimal logger for conditions a run should never hit.
 //
 // The simulator is single-threaded by design, so the logger needs no
-// synchronization. Log lines carry the simulation component name; benches
-// and tests normally run with level Warn to keep output clean.
+// synchronization. Log lines carry the simulation component name.
 #pragma once
 
 #include <cstdint>
@@ -13,35 +12,21 @@
 
 namespace netco::log {
 
-/// Severity of a log record, ordered from most to least verbose.
-enum class Level : std::uint8_t { Trace = 0, Debug, Info, Warn, Error, Off };
-
-/// Returns the current global threshold; records below it are dropped.
-Level threshold() noexcept;
-
-/// Sets the global threshold. Thread-compatible (call before running a
-/// simulation, not concurrently with it).
-void set_threshold(Level level) noexcept;
+/// Severity of a log record.
+enum class Level : std::uint8_t { Warn, Error };
 
 /// Emits one formatted record to stderr. Prefer the NETCO_LOG_* macros.
 void write(Level level, std::string_view component, std::string_view message);
 
-/// Formats and emits a record if `level` passes the threshold.
+/// Formats and emits a record.
 template <typename... Args>
 void logf(Level level, std::string_view component, std::string_view spec,
           const Args&... args) {
-  if (level < threshold()) return;
   write(level, component, ::netco::fmt(spec, args...));
 }
 
 }  // namespace netco::log
 
-#define NETCO_LOG_TRACE(component, ...) \
-  ::netco::log::logf(::netco::log::Level::Trace, component, __VA_ARGS__)
-#define NETCO_LOG_DEBUG(component, ...) \
-  ::netco::log::logf(::netco::log::Level::Debug, component, __VA_ARGS__)
-#define NETCO_LOG_INFO(component, ...) \
-  ::netco::log::logf(::netco::log::Level::Info, component, __VA_ARGS__)
 #define NETCO_LOG_WARN(component, ...) \
   ::netco::log::logf(::netco::log::Level::Warn, component, __VA_ARGS__)
 #define NETCO_LOG_ERROR(component, ...) \

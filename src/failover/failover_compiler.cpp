@@ -44,7 +44,6 @@ static_assert(kDetourPriority > kPrimaryPriority,
 struct Compile {
   topo::FatTreeTopology& topo;
   CompileSummary summary;
-  sim::TimePoint now;
 
   [[nodiscard]] static std::uint16_t vid(int i) {
     return static_cast<std::uint16_t>(kDetourVidBase + i);
@@ -52,7 +51,7 @@ struct Compile {
 
   void install(openflow::OpenFlowSwitch& sw, FlowSpec spec, bool backup) {
     spec.cookie = backup ? openflow::kFailoverCookie : 0;
-    sw.table().add(std::move(spec), now);
+    sw.table().add(std::move(spec));
     if (backup) {
       ++summary.rules_installed;
     } else {
@@ -113,7 +112,7 @@ CompileSummary compile_failover(topo::FatTreeTopology& topo) {
   NETCO_ASSERT_MSG(kDetourPriority > kPrimaryPriority + k,
                    "tagged detour chain would cross the primary priority");
 
-  Compile c{topo, {}, topo.simulator().now()};
+  Compile c{topo, {}};
   const auto& combine = topo.options().combine_agg;
 
   for (int pm = 0; pm < k; ++pm) {

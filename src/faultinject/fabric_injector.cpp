@@ -97,8 +97,6 @@ void FabricFaultInjector::apply(const FaultEvent& event) {
     default:
       return;
   }
-  NETCO_LOG_DEBUG("faultinject", "applied {} node={} peer={}",
-                  to_string(event.kind), event.node, event.peer);
 }
 
 FaultPlan make_kill_plan(const topo::FatTreeTopology& topo,

@@ -120,22 +120,15 @@ std::optional<FaultPlan> FaultPlan::from_json(const std::string& json) {
     std::size_t capacity = 0;
     char kind[64] = {0};
     char behavior[64] = {0};
-    int node = -1, peer = -1;
-    int n = std::sscanf(
+    const int n = std::sscanf(
         line.c_str(),
         "{\"t\":%lld,\"kind\":\"%63[^\"]\",\"edge\":%d,\"replica\":%d,"
         "\"loss\":%lf,\"latency_ns\":%lld,\"capacity\":%zu,"
         "\"behavior\":\"%63[^\"]\",\"duration_ns\":%lld,"
         "\"node\":%d,\"peer\":%d}",
         &t, kind, &e.edge, &e.replica, &loss, &latency, &capacity, behavior,
-        &duration, &node, &peer);
-    if (n == 8) {
-      duration = 0;  // pre-duration_ns rendering
-    } else if (n == 9) {
-      // pre-node/peer rendering: defaults stand
-    } else if (n != 11) {
-      return std::nullopt;
-    }
+        &duration, &e.node, &e.peer);
+    if (n != 11) return std::nullopt;
     const auto parsed_kind = kind_from_string(kind);
     const auto parsed_behavior = behavior_from_string(behavior);
     // Reject loudly: a silent nullopt on a typo'd kind looks exactly like
@@ -158,8 +151,6 @@ std::optional<FaultPlan> FaultPlan::from_json(const std::string& json) {
     e.cache_capacity = capacity;
     e.behavior = *parsed_behavior;
     e.duration_ns = duration;
-    e.node = node;
-    e.peer = peer;
     plan.events.push_back(e);
   }
   plan.normalize();

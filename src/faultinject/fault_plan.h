@@ -35,7 +35,7 @@ enum class FaultKind : std::uint8_t {
   kCacheSqueeze,    ///< shrink the compare cache capacity (memory pressure)
   kCacheRestore,    ///< restore the original compare cache capacity
   // Trusted-component faults (delegated to resilience::ResilienceManager;
-  // skipped with a log line when no manager is wired up).
+  // skipped when no manager is wired up).
   kCompareCrash,    ///< kill the compare process — in-memory state lost
   kCompareHang,     ///< wedge the compare process — memory intact
   kHubCrash,        ///< remove an edge's fan-out rule (-1 = every edge)
@@ -127,10 +127,8 @@ struct FaultPlan {
   [[nodiscard]] std::string to_json() const;
 
   /// Parses a to_json() rendering back into a plan (the seed is not part
-  /// of the JSON and comes back 0). Accepts records without the trailing
-  /// node/peer fields, and without duration_ns before that, so plans
-  /// serialized by older builds still load.
-  /// std::nullopt on any malformed event line.
+  /// of the JSON and comes back 0). Every event record must carry all
+  /// eleven fields; std::nullopt on any malformed event line.
   static std::optional<FaultPlan> from_json(const std::string& json);
 
   /// Sorts events by time, keeping the relative order of simultaneous

@@ -4,7 +4,6 @@
 
 #include "adversary/behaviors.h"
 #include "common/assert.h"
-#include "common/log.h"
 #include "resilience/resilience.h"
 
 namespace netco::faultinject {
@@ -107,12 +106,7 @@ void FaultInjector::apply(const FaultEvent& event) {
     case FaultKind::kCompareHang:
     case FaultKind::kHubCrash:
     case FaultKind::kHeartbeatLoss: {
-      if (resilience_ == nullptr) {
-        NETCO_LOG_INFO("faultinject",
-                       "{} skipped: no resilience manager wired up",
-                       to_string(event.kind));
-        return;
-      }
+      if (resilience_ == nullptr) return;
       const auto recover = sim::Duration::nanoseconds(event.duration_ns);
       switch (event.kind) {
         case FaultKind::kCompareCrash:
@@ -148,17 +142,10 @@ void FaultInjector::apply(const FaultEvent& event) {
     case FaultKind::kRoutePoison:
     case FaultKind::kMetricInflate:
     case FaultKind::kBlackholeAd:
-      NETCO_LOG_INFO("faultinject",
-                     "{} skipped: not a combiner-circuit fault",
-                     to_string(event.kind));
       return;
     case FaultKind::kCacheSqueeze:
     case FaultKind::kCacheRestore: {
-      if (combiner.compare == nullptr) {
-        NETCO_LOG_INFO("faultinject", "{} skipped: no compare on this circuit",
-                       to_string(event.kind));
-        return;
-      }
+      if (combiner.compare == nullptr) return;
       const sim::TimePoint now = topo_.simulator().now();
       for (std::size_t i = 0; i < combiner.edges.size(); ++i) {
         if (event.edge >= 0 && static_cast<std::size_t>(event.edge) != i) {
@@ -177,8 +164,6 @@ void FaultInjector::apply(const FaultEvent& event) {
     }
   }
   ++applied_;
-  NETCO_LOG_DEBUG("faultinject", "applied {} replica={} edge={}",
-                  to_string(event.kind), event.replica, event.edge);
 }
 
 }  // namespace netco::faultinject

@@ -33,7 +33,7 @@ class FaultInjector {
 
   /// Wires up the resilience manager the trusted-component fault kinds
   /// (compare crash/hang, hub crash, heartbeat loss) delegate to. Without
-  /// one, those events are skipped with a log line. Must be set before the
+  /// one, those events are skipped. Must be set before the
   /// simulation reaches the first such event; the manager must outlive
   /// the run.
   void set_resilience(resilience::ResilienceManager* manager) noexcept {

@@ -1,8 +1,5 @@
 #include "health/service.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "common/assert.h"
 
 namespace netco::health {
@@ -150,12 +147,6 @@ void HealthService::push_weight(int replica) {
 }
 
 void HealthService::apply(const HealthAction& action) {
-  if (std::getenv("NETCO_HEALTH_DEBUG") != nullptr) {
-    std::printf("[health] t=%.1fms %s replica=%d score=%.3f\n",
-                static_cast<double>(action.at.ns()) / 1e6,
-                to_string(action.kind), action.replica, action.score);
-  }
-
   obs::TraceEvent event = obs::TraceEvent::kHealthQuarantine;
   switch (action.kind) {
     case HealthAction::Kind::kQuarantine:
@@ -187,14 +178,12 @@ void HealthService::apply(const HealthAction& action) {
 
 HealthSummary HealthService::summary() const noexcept {
   HealthSummary s;
-  s.verdicts = verdict_counter_->value();
   s.quarantines = quarantine_counter_->value();
   s.readmits = readmit_counter_->value();
   s.bans = ban_counter_->value();
   s.probe_windows = manager_.probe_windows();
   s.first_quarantine_ns = first_quarantine_ns_;
   s.first_readmit_ns = first_readmit_ns_;
-  s.live_replicas = monitor_.live_replicas();
   return s;
 }
 

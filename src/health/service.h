@@ -78,7 +78,6 @@ class QuarantineManager {
 
 /// End-of-run health outcome (bench/soak reporting).
 struct HealthSummary {
-  std::uint64_t verdicts = 0;
   std::uint64_t quarantines = 0;
   std::uint64_t readmits = 0;
   std::uint64_t bans = 0;
@@ -86,7 +85,6 @@ struct HealthSummary {
   /// Sim-time of the first quarantine/readmit, -1 when none happened.
   std::int64_t first_quarantine_ns = -1;
   std::int64_t first_readmit_ns = -1;
-  int live_replicas = 0;
 };
 
 /// The wired-up loop: verdict stream → monitor → manager (+ obs).

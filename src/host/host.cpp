@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "common/log.h"
 
 namespace netco::host {
 

@@ -1,7 +1,6 @@
 #include "net/packet.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/assert.h"
 
@@ -134,18 +133,6 @@ bool operator==(const Packet& a, const Packet& b) noexcept {
     return false;  // memoized hashes disagree — contents must differ
   }
   return std::equal(pa.begin(), pa.end(), pb.begin());
-}
-
-std::string Packet::summary() const {
-  char buf[96];
-  if (size() < 14) {
-    std::snprintf(buf, sizeof buf, "%zuB (runt)", size());
-    return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%zuB %s->%s type=%04x", size(),
-                mac_at(6).to_string().c_str(), mac_at(0).to_string().c_str(),
-                u16be(12));
-  return buf;
 }
 
 }  // namespace netco::net

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -111,9 +110,6 @@ class Packet {
   [[nodiscard]] bool shares_payload_with(const Packet& other) const noexcept {
     return buffer_ != nullptr && buffer_ == other.buffer_;
   }
-
-  /// Short human-readable summary ("60B 02:..->02:.. type=0800").
-  [[nodiscard]] std::string summary() const;
 
  private:
   /// The refcounted payload. Immutable while shared; the hash memos are

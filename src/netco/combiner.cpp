@@ -41,7 +41,7 @@ void install_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from,
     spec.actions.push_back(openflow::OutputAction::to(port));
   }
   spec.priority = kHubPriority;
-  sw.table().add(std::move(spec), sw.simulator().now());
+  sw.table().add(std::move(spec));
 }
 
 void remove_hub_rules(openflow::OpenFlowSwitch& sw, device::PortIndex from) {
@@ -78,7 +78,7 @@ void install_broadcast_flood(openflow::OpenFlowSwitch& sw) {
   spec.match.with_dl_dst(net::MacAddress::broadcast());
   spec.actions = {openflow::OutputAction::flood()};
   spec.priority = kReplicaFloodPriority;
-  sw.table().add(std::move(spec), sw.simulator().now());
+  sw.table().add(std::move(spec));
 }
 
 }  // namespace
@@ -169,7 +169,6 @@ CombinerInstance build_combiner(device::Network& network,
     auto& edge = *inst.edges[i];
     const device::PortIndex neighbor_port = inst.edge_neighbor_port[i];
     const auto& local_macs = attachments[i].local_macs;
-    const auto now = network.simulator().now();
 
     // Hub: every packet from the neighbor is copied to all k replicas.
     install_hub_rules(edge, neighbor_port, inst.edge_replica_port[i]);
@@ -210,14 +209,14 @@ CombinerInstance build_combiner(device::Network& network,
         drop.match.with_in_port(rp).with_dl_src(mac);
         drop.actions = {};  // drop
         drop.priority = kScreenPriority;
-        edge.table().add(std::move(drop), now);
+        edge.table().add(std::move(drop));
       }
       // Everything else from a replica goes to the compare.
       openflow::FlowSpec punt;
       punt.match.with_in_port(rp);
       punt.actions = {openflow::OutputAction::controller()};
       punt.priority = kPuntPriority;
-      edge.table().add(std::move(punt), now);
+      edge.table().add(std::move(punt));
     }
     auto replica_ports = edge_config.replica_ports;  // for the edge hook
 

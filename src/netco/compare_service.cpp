@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "openflow/switch.h"
 
 namespace netco::core {
@@ -114,8 +113,6 @@ void CompareService::act_on_advice(controller::Controller& controller,
     for (const auto& [port, idx] : state.config.replica_ports) {
       if (idx != replica) continue;
       state.channel->port_mod(openflow::PortMod{.port = port, .blocked = true});
-      NETCO_LOG_INFO("compare", "{}: blocking replica {} (port {}) — flood",
-                     edge, replica, port);
       if (state.config.block_duration > sim::Duration::zero()) {
         controller.simulator().schedule_after(
             state.config.block_duration, [&state, port] {
@@ -133,8 +130,6 @@ void CompareService::act_on_advice(controller::Controller& controller,
                                    .at = controller.simulator().now()});
   }
   for (int replica : advice.inactive_replicas) {
-    NETCO_LOG_INFO("compare", "{}: replica {} unavailable — alarm", edge,
-                   replica);
     alarms_.push_back(CompareAlarm{.edge = edge,
                                    .replica = replica,
                                    .kind = CompareAlarm::Kind::kReplicaInactive,

@@ -32,41 +32,11 @@ void ControlChannel::packet_in(PacketIn event) {
                             });
 }
 
-void ControlChannel::flow_mod(FlowMod mod) {
-  simulator_.schedule_after(jittered_latency(), [this, m = std::move(mod)] {
-    switch_.receive_flow_mod(m);
-  });
-}
-
 void ControlChannel::packet_out(PacketOut out) {
   simulator_.schedule_after(jittered_latency(),
                             [this, o = std::move(out)]() mutable {
                               switch_.receive_packet_out(std::move(o));
                             });
-}
-
-void ControlChannel::request_flow_stats(const Match& pattern,
-                                        FlowStatsCallback done) {
-  simulator_.schedule_after(
-      jittered_latency(), [this, pattern, done = std::move(done)] {
-        // Snapshot on the switch, then the reply travels back.
-        std::vector<FlowStatsEntry> rows;
-        for (const auto& entry : switch_.table().entries()) {
-          if (!pattern.covers(entry.spec.match) &&
-              !pattern.strictly_equals(entry.spec.match) &&
-              pattern.present() != 0)
-            continue;
-          rows.push_back(FlowStatsEntry{.match = entry.spec.match,
-                                        .priority = entry.spec.priority,
-                                        .packet_count = entry.packet_count,
-                                        .byte_count = entry.byte_count});
-        }
-        simulator_.schedule_after(jittered_latency(),
-                                  [rows = std::move(rows),
-                                   done = std::move(done)]() mutable {
-                                    done(std::move(rows));
-                                  });
-      });
 }
 
 void ControlChannel::port_mod(PortMod mod) {

@@ -5,11 +5,6 @@
 // the controller framework (see controller/controller.h), not here.
 #pragma once
 
-#include <cstdint>
-
-#include <functional>
-#include <vector>
-
 #include "openflow/messages.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -47,20 +42,10 @@ class ControlChannel {
   void packet_in(PacketIn event);
 
   // --- controller → switch ----------------------------------------------
-  /// Ships a flow-mod; the switch applies it after the channel latency.
-  void flow_mod(FlowMod mod);
   /// Ships a packet-out.
   void packet_out(PacketOut out);
   /// Ships a port-mod.
   void port_mod(PortMod mod);
-
-  /// OFPST_FLOW: requests counter snapshots of every entry covered by
-  /// `pattern`; `done` runs controller-side after a full round trip. The
-  /// §VI case study's second screening method (flow-counter monitoring)
-  /// uses this.
-  using FlowStatsCallback =
-      std::function<void(std::vector<FlowStatsEntry>)>;
-  void request_flow_stats(const Match& pattern, FlowStatsCallback done);
 
   /// The switch this channel controls.
   [[nodiscard]] OpenFlowSwitch& attached_switch() noexcept { return switch_; }

@@ -4,112 +4,49 @@
 
 namespace netco::openflow {
 
-void FlowTable::add(FlowSpec spec, sim::TimePoint now) {
-  // Replace a strictly identical entry at the same priority.
+void FlowTable::add(FlowSpec spec) {
+  // Replace a strictly identical rule at the same priority.
   for (auto& entry : entries_) {
-    if (entry.spec.priority == spec.priority &&
-        entry.spec.match.strictly_equals(spec.match)) {
-      entry.spec = std::move(spec);
-      entry.installed_at = now;
-      entry.last_used = now;
-      entry.packet_count = 0;
-      entry.byte_count = 0;
+    if (entry.priority == spec.priority &&
+        entry.match.strictly_equals(spec.match)) {
+      entry = std::move(spec);
       return;
     }
   }
-  FlowEntry entry;
-  entry.spec = std::move(spec);
-  entry.installed_at = now;
-  entry.last_used = now;
   // Insert keeping priority-descending, stable within equal priority.
   const auto pos = std::find_if(
-      entries_.begin(), entries_.end(), [&entry](const FlowEntry& e) {
-        return e.spec.priority < entry.spec.priority;
-      });
-  entries_.insert(pos, std::move(entry));
-}
-
-std::size_t FlowTable::modify_actions(const Match& match,
-                                      const ActionList& actions) {
-  std::size_t touched = 0;
-  for (auto& entry : entries_) {
-    if (match.covers(entry.spec.match)) {
-      entry.spec.actions = actions;
-      ++touched;
-    }
-  }
-  return touched;
-}
-
-std::size_t FlowTable::remove(const Match& pattern) {
-  const auto before = entries_.size();
-  std::erase_if(entries_, [&pattern](const FlowEntry& entry) {
-    return pattern.covers(entry.spec.match);
-  });
-  return before - entries_.size();
+      entries_.begin(), entries_.end(),
+      [&spec](const FlowSpec& e) { return e.priority < spec.priority; });
+  entries_.insert(pos, std::move(spec));
 }
 
 std::size_t FlowTable::remove_strict(const Match& match,
                                      std::uint16_t priority) {
   const auto before = entries_.size();
-  std::erase_if(entries_, [&](const FlowEntry& entry) {
-    return entry.spec.priority == priority &&
-           entry.spec.match.strictly_equals(match);
+  std::erase_if(entries_, [&](const FlowSpec& entry) {
+    return entry.priority == priority && entry.match.strictly_equals(match);
   });
   return before - entries_.size();
 }
 
-namespace {
-
-// True when the entry's liveness guard refers to a port marked dead.
-bool guard_dead(const FlowSpec& spec, const std::vector<bool>* dead_ports) {
-  return dead_ports != nullptr && spec.guard_port != device::kNoPort &&
-         spec.guard_port < dead_ports->size() && (*dead_ports)[spec.guard_port];
-}
-
-}  // namespace
-
-FlowEntry* FlowTable::lookup(const Match& key, std::size_t packet_bytes,
-                             sim::TimePoint now,
-                             const std::vector<bool>* dead_ports,
-                             bool* guard_skipped) {
-  ++stats_.lookups;
-  expire(now);
+const FlowSpec* FlowTable::lookup(const Match& key,
+                                  const std::vector<bool>* dead_ports,
+                                  bool* guard_skipped) const {
   bool skipped = false;
-  for (auto& entry : entries_) {
-    if (!entry.spec.match.covers(key)) continue;
-    if (guard_dead(entry.spec, dead_ports)) {
+  for (const auto& entry : entries_) {
+    if (!entry.match.covers(key)) continue;
+    // Skip a rule whose liveness guard refers to a port marked dead.
+    if (dead_ports != nullptr && entry.guard_port != device::kNoPort &&
+        entry.guard_port < dead_ports->size() &&
+        (*dead_ports)[entry.guard_port]) {
       skipped = true;
       continue;
     }
-    ++stats_.hits;
-    ++entry.packet_count;
-    entry.byte_count += packet_bytes;
-    entry.last_used = now;
     if (guard_skipped != nullptr) *guard_skipped = skipped;
     return &entry;
   }
   if (guard_skipped != nullptr) *guard_skipped = skipped;
   return nullptr;
-}
-
-const FlowEntry* FlowTable::peek(const Match& key, sim::TimePoint now,
-                                 const std::vector<bool>* dead_ports) const {
-  for (const auto& entry : entries_) {
-    if (entry.expired(now) || !entry.spec.match.covers(key)) continue;
-    if (guard_dead(entry.spec, dead_ports)) continue;
-    return &entry;
-  }
-  return nullptr;
-}
-
-std::size_t FlowTable::expire(sim::TimePoint now) {
-  const auto before = entries_.size();
-  std::erase_if(entries_,
-                [now](const FlowEntry& entry) { return entry.expired(now); });
-  const std::size_t evicted = before - entries_.size();
-  stats_.entries_expired += evicted;
-  return evicted;
 }
 
 }  // namespace netco::openflow

@@ -1,15 +1,13 @@
-// OpenFlow 1.0 flow table: prioritized match-action rules with counters
-// and idle/hard timeouts.
+// OpenFlow 1.0 flow table: prioritized match-action rules, with the
+// fast-failover liveness guard the static failover compiler relies on.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "device/node.h"
 #include "openflow/action.h"
 #include "openflow/match.h"
-#include "sim/time.h"
 
 namespace netco::openflow {
 
@@ -19,16 +17,14 @@ namespace netco::openflow {
 /// layer rather than the primary routing.
 inline constexpr std::uint64_t kFailoverCookie = 0xFA11'0FEE;
 
-/// The caller-provided part of a flow entry (what a flow-mod carries).
+/// One flow rule.
 struct FlowSpec {
   Match match;                ///< pattern (wildcards allowed)
   ActionList actions;         ///< empty == drop
   std::uint16_t priority = 0; ///< higher wins
-  sim::Duration idle_timeout = sim::Duration::zero();  ///< zero == none
-  sim::Duration hard_timeout = sim::Duration::zero();  ///< zero == none
   std::uint64_t cookie = 0;   ///< opaque controller tag
   /// Per-port liveness guard (OF fast-failover semantics): when set, the
-  /// entry only matches while this port is live per the liveness vector
+  /// rule only matches while this port is live per the liveness vector
   /// the datapath hands to lookup(). kNoPort = unconditional. This is how
   /// the failover compiler chains primary → backup rules without any
   /// controller round-trip: the guard flips with the keepalive state and
@@ -36,93 +32,42 @@ struct FlowSpec {
   device::PortIndex guard_port = device::kNoPort;
 };
 
-/// An installed entry: spec + counters + timestamps.
-struct FlowEntry {
-  FlowSpec spec;
-  std::uint64_t packet_count = 0;
-  std::uint64_t byte_count = 0;
-  sim::TimePoint installed_at;
-  sim::TimePoint last_used;  ///< for idle timeout
-
-  /// True once either timeout has elapsed at `now`.
-  [[nodiscard]] bool expired(sim::TimePoint now) const noexcept {
-    const auto& s = spec;
-    if (s.hard_timeout > sim::Duration::zero() &&
-        now - installed_at >= s.hard_timeout)
-      return true;
-    if (s.idle_timeout > sim::Duration::zero() &&
-        now - last_used >= s.idle_timeout)
-      return true;
-    return false;
-  }
-};
-
-/// Table-level counters.
-struct TableStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t entries_expired = 0;
-};
-
 /// A single OF 1.0 flow table (the prototype uses table 0 only).
 class FlowTable {
  public:
-  /// Installs `spec`; replaces an entry whose match strictly equals it at
+  /// Installs `spec`; replaces a rule whose match strictly equals it at
   /// the same priority (OFPFC_ADD overlap behaviour), otherwise appends.
-  void add(FlowSpec spec, sim::TimePoint now);
+  void add(FlowSpec spec);
 
-  /// OFPFC_MODIFY: rewrites the actions of all entries covered by `match`
-  /// (non-strict). Returns the number of entries touched.
-  std::size_t modify_actions(const Match& match, const ActionList& actions);
-
-  /// OFPFC_DELETE (non-strict): removes all entries whose match is covered
-  /// by `pattern`. Returns the number removed.
-  std::size_t remove(const Match& pattern);
-
-  /// OFPFC_DELETE_STRICT: removes the entry with exactly this match and
+  /// OFPFC_DELETE_STRICT: removes the rule with exactly this match and
   /// priority, if present.
   std::size_t remove_strict(const Match& match, std::uint16_t priority);
 
-  /// Highest-priority entry covering the exact key, updating counters and
-  /// the idle timestamp. Expired entries are evicted on the way.
-  /// Returns nullptr on table miss.
+  /// Highest-priority rule covering the exact key; nullptr on table miss.
   ///
-  /// When `dead_ports` is given, entries whose guard_port indexes a true
+  /// When `dead_ports` is given, rules whose guard_port indexes a true
   /// slot are skipped (fast-failover group semantics). `guard_skipped`,
-  /// when non-null, is set to whether at least one covering entry was
+  /// when non-null, is set to whether at least one covering rule was
   /// skipped this way before the returned hit — i.e. the packet was
   /// actively rerouted around a dead port, not just carried by a backup
   /// rule it would have matched anyway.
-  FlowEntry* lookup(const Match& key, std::size_t packet_bytes,
-                    sim::TimePoint now,
-                    const std::vector<bool>* dead_ports = nullptr,
-                    bool* guard_skipped = nullptr);
+  [[nodiscard]] const FlowSpec* lookup(
+      const Match& key, const std::vector<bool>* dead_ports = nullptr,
+      bool* guard_skipped = nullptr) const;
 
-  /// Read-only lookup without counter updates (monitoring/tests).
-  [[nodiscard]] const FlowEntry* peek(
-      const Match& key, sim::TimePoint now,
-      const std::vector<bool>* dead_ports = nullptr) const;
-
-  /// Evicts every entry expired at `now`. Returns the number evicted.
-  std::size_t expire(sim::TimePoint now);
-
-  /// All live entries (monitoring; order is priority-descending).
-  [[nodiscard]] const std::vector<FlowEntry>& entries() const noexcept {
+  /// All rules (monitoring; order is priority-descending).
+  [[nodiscard]] const std::vector<FlowSpec>& entries() const noexcept {
     return entries_;
   }
 
-  /// Number of installed entries.
+  /// Number of installed rules.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-
-  /// Lookup/hit/expiry counters.
-  [[nodiscard]] const TableStats& stats() const noexcept { return stats_; }
 
  private:
   // Sorted by priority descending; stable order within equal priorities
   // (first-installed wins, which is deterministic and matches common
   // switch behaviour for overlapping rules).
-  std::vector<FlowEntry> entries_;
-  TableStats stats_;
+  std::vector<FlowSpec> entries_;
 };
 
 }  // namespace netco::openflow

@@ -64,11 +64,8 @@ class Match {
   [[nodiscard]] bool covers(const Match& key) const noexcept;
 
   /// True if both patterns name the same fields with the same values
-  /// (used for strict flow-mod delete/modify).
+  /// (FlowTable::add's replace and FlowTable::remove_strict).
   [[nodiscard]] bool strictly_equals(const Match& other) const noexcept;
-
-  /// Bitmask of participating fields.
-  [[nodiscard]] std::uint32_t present() const noexcept { return present_; }
 
   /// Debug rendering, e.g. "in_port=2 dl_dst=02:..:05".
   [[nodiscard]] std::string to_string() const;

@@ -1,13 +1,11 @@
-// OpenFlow 1.0 control messages (the subset the paper's prototype uses:
-// packet-in, packet-out, flow-mod, plus a port-mod used for the compare's
-// DoS block advice).
+// OpenFlow 1.0 control messages: the packet-in and packet-out the compare
+// runs on, plus the port-mod that carries its DoS block advice. Rules are
+// installed straight into the switch's table (openflow/flow_table.h).
 #pragma once
-
-#include <cstdint>
 
 #include "device/node.h"
 #include "net/packet.h"
-#include "openflow/flow_table.h"
+#include "openflow/action.h"
 
 namespace netco::openflow {
 
@@ -25,28 +23,6 @@ struct PacketOut {
   ActionList actions;
   net::Packet packet;
   device::PortIndex in_port = device::kNoPort;
-};
-
-/// Flow-mod commands (OFPFC_*).
-enum class FlowModCommand : std::uint8_t {
-  kAdd,
-  kModify,        ///< rewrite actions of all covered entries
-  kDelete,        ///< non-strict delete
-  kDeleteStrict,  ///< exact match + priority
-};
-
-/// Controller → switch: mutate the flow table.
-struct FlowMod {
-  FlowModCommand command = FlowModCommand::kAdd;
-  FlowSpec spec;
-};
-
-/// Switch → controller: one flow entry's counters (OFPST_FLOW reply row).
-struct FlowStatsEntry {
-  Match match;
-  std::uint16_t priority = 0;
-  std::uint64_t packet_count = 0;
-  std::uint64_t byte_count = 0;
 };
 
 /// Controller → switch: administratively block/unblock a port

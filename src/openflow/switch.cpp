@@ -69,39 +69,38 @@ void OpenFlowSwitch::pipeline(device::PortIndex in_port, net::Packet packet) {
   const auto parsed = net::parse_packet(packet);
   if (!parsed) return;  // unparseable runt: drop silently
   const Match key = Match::exact_from(*parsed, in_port);
-  FlowEntry* entry = guarded_lookup(key, packet);
-  if (entry == nullptr) {
+  const FlowSpec* rule = guarded_lookup(key, packet);
+  if (rule == nullptr) {
     ++stats_.table_misses;
     table_miss_counter_->inc();
     punt_to_controller(in_port, std::move(packet));
     return;
   }
   table_hit_counter_->inc();
-  apply_actions(in_port, entry->spec.actions, std::move(packet));
+  apply_actions(in_port, rule->actions, std::move(packet));
 }
 
-FlowEntry* OpenFlowSwitch::guarded_lookup(const Match& key,
-                                          const net::Packet& packet) {
+const FlowSpec* OpenFlowSwitch::guarded_lookup(const Match& key,
+                                               const net::Packet& packet) {
   bool rerouted = false;
-  FlowEntry* entry = table_.lookup(key, packet.size(), simulator().now(),
-                                   port_dead_.empty() ? nullptr : &port_dead_,
-                                   &rerouted);
-  if (entry != nullptr && rerouted) {
+  const FlowSpec* rule = table_.lookup(
+      key, port_dead_.empty() ? nullptr : &port_dead_, &rerouted);
+  if (rule != nullptr && rerouted) {
     ++stats_.failover_reroutes;
     reroute_counter_->inc();
     obs::Tracer& tracer = obs_->tracer;
     if (tracer.enabled()) {
       tracer.emit(simulator().now().ns(), obs::TraceEvent::kFailoverReroute,
                   packet.content_hash(), trace_name_.get(name()),
-                  static_cast<std::int32_t>(entry->spec.priority),
+                  static_cast<std::int32_t>(rule->priority),
                   static_cast<std::uint32_t>(packet.size()));
     }
   }
-  if (entry != nullptr && entry->spec.cookie == kFailoverCookie) {
+  if (rule != nullptr && rule->cookie == kFailoverCookie) {
     ++stats_.static_backup_hits;
     static_hit_counter_->inc();
   }
-  return entry;
+  return rule;
 }
 
 void OpenFlowSwitch::apply_actions(device::PortIndex in_port,
@@ -135,9 +134,9 @@ void OpenFlowSwitch::apply_actions(device::PortIndex in_port,
             const auto parsed = net::parse_packet(packet);
             if (parsed) {
               const Match key = Match::exact_from(*parsed, in_port);
-              FlowEntry* entry = guarded_lookup(key, packet);
-              if (entry != nullptr) {
-                apply_actions(in_port, entry->spec.actions, packet);
+              const FlowSpec* rule = guarded_lookup(key, packet);
+              if (rule != nullptr) {
+                apply_actions(in_port, rule->actions, packet);
               } else {
                 ++stats_.dropped_no_rule;
               }
@@ -198,23 +197,6 @@ void OpenFlowSwitch::punt_to_controller(device::PortIndex in_port,
   control_->packet_in(PacketIn{.in_port = in_port, .packet = std::move(packet)});
 }
 
-void OpenFlowSwitch::receive_flow_mod(const FlowMod& mod) {
-  switch (mod.command) {
-    case FlowModCommand::kAdd:
-      table_.add(mod.spec, simulator().now());
-      break;
-    case FlowModCommand::kModify:
-      table_.modify_actions(mod.spec.match, mod.spec.actions);
-      break;
-    case FlowModCommand::kDelete:
-      table_.remove(mod.spec.match);
-      break;
-    case FlowModCommand::kDeleteStrict:
-      table_.remove_strict(mod.spec.match, mod.spec.priority);
-      break;
-  }
-}
-
 void OpenFlowSwitch::receive_packet_out(PacketOut out) {
   apply_actions(out.in_port, out.actions, std::move(out.packet));
 }
@@ -223,8 +205,6 @@ void OpenFlowSwitch::receive_port_mod(const PortMod& mod) {
   if (mod.port == device::kNoPort) return;
   if (blocked_.size() <= mod.port) blocked_.resize(mod.port + 1, false);
   blocked_[mod.port] = mod.blocked;
-  NETCO_LOG_INFO(name(), "port {} {}", mod.port,
-                 mod.blocked ? "blocked" : "unblocked");
 }
 
 }  // namespace netco::openflow

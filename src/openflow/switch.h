@@ -8,8 +8,8 @@
 //    (§II) places no restriction on what a malicious datapath does, so the
 //    interceptor runs *before* the flow table and may rewrite, redirect,
 //    duplicate, drop, or fabricate packets at will.
-//  * an ingress tap — the monitoring used in the §VI case study (the
-//    tcpdump-on-every-interface screen).
+//  * an ingress tap — the monitoring used in the §VI case study (its
+//    tcpdump-style screen on a core switch).
 #pragma once
 
 #include <cstdint>
@@ -90,7 +90,6 @@ class OpenFlowSwitch : public device::Node, public device::Datapath {
   void bind_control(ControlChannel* channel) { control_ = channel; }
 
   /// Handlers invoked by the control channel after its latency.
-  void receive_flow_mod(const FlowMod& mod);
   void receive_packet_out(PacketOut out);
   void receive_port_mod(const PortMod& mod);
 
@@ -138,7 +137,7 @@ class OpenFlowSwitch : public device::Node, public device::Datapath {
   void pipeline(device::PortIndex in_port, net::Packet packet);
   /// Table lookup under the liveness-guard vector, with failover
   /// counter/trace accounting (shared by the pipeline and OFPP_TABLE).
-  FlowEntry* guarded_lookup(const Match& key, const net::Packet& packet);
+  const FlowSpec* guarded_lookup(const Match& key, const net::Packet& packet);
   void punt_to_controller(device::PortIndex in_port, net::Packet packet);
   void count_tx(const net::Packet& packet, device::PortIndex port);
 

@@ -169,8 +169,6 @@ std::optional<core::CompareSnapshot> parse_snapshot(const std::string& text) {
   {
     unsigned long long v[12];
     std::size_t ce = 0, mce = 0;
-    // The three fast-path counters were appended in §XII; a v1 checkpoint
-    // written before then carries 14 fields and restores them as zero.
     unsigned long long fp_in = 0, fp_rel = 0, fp_esc = 0;
     const int matched =
         std::sscanf(line.c_str(),
@@ -179,9 +177,7 @@ std::optional<core::CompareSnapshot> parse_snapshot(const std::string& text) {
                     &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7],
                     &v[8], &v[9], &v[10], &v[11], &ce, &mce, &fp_in, &fp_rel,
                     &fp_esc);
-    if (matched != 14 && matched != 17) {
-      return std::nullopt;
-    }
+    if (matched != 17) return std::nullopt;
     core::CompareStats& s = snap.stats;
     s.ingested = v[0];
     s.released = v[1];

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "resilience/checkpoint.h"
 
 namespace netco::resilience {
@@ -173,7 +172,7 @@ ResilienceManager::ResilienceManager(sim::Simulator& simulator,
       spec.actions = {
           openflow::OutputAction::to(combiner_.edge_neighbor_port[i])};
       spec.priority = kFailStaticPriority;
-      combiner_.edges[i]->table().add(std::move(spec), simulator_.now());
+      combiner_.edges[i]->table().add(std::move(spec));
     }
   }
 
@@ -209,7 +208,6 @@ void ResilienceManager::take_checkpoint() {
           text.size());
     checkpoint_text_[i] = std::move(text);
   }
-  ++checkpoints_;
   checkpoint_counter_->inc();
 }
 
@@ -234,7 +232,6 @@ void ResilienceManager::heartbeat_tick() {
     misses_ = 0;
   } else {
     ++misses_;
-    ++heartbeat_misses_;
     miss_counter_->inc();
     trace(obs::TraceEvent::kResilienceHeartbeatMiss, misses_, 0);
     if (misses_ >= config_.heartbeat_miss_threshold && !dead_declared_) {
@@ -277,7 +274,6 @@ void ResilienceManager::do_promote() {
   combiner_.compare->set_process_state(
       core::CompareService::ProcessState::kRetired);
   standby_->promote();
-  ++failovers_;
   failover_counter_->inc();
   monitoring_ = false;  // the fenced primary is no longer watched
 
@@ -291,12 +287,9 @@ void ResilienceManager::do_promote() {
     outage_open_ = false;
   }
   trace(obs::TraceEvent::kResilienceFailover, -1, gap);
-  NETCO_LOG_INFO("resilience",
-                 "failover: standby promoted, primary fenced (gap {})", gap);
 }
 
 void ResilienceManager::compare_crash(sim::Duration recover_after) {
-  ++compare_crashes_;
   if (combiner_.compare->process_state() ==
       core::CompareService::ProcessState::kRetired) {
     return;  // crashing the fenced old primary changes nothing
@@ -311,7 +304,6 @@ void ResilienceManager::compare_crash(sim::Duration recover_after) {
 }
 
 void ResilienceManager::compare_hang(sim::Duration recover_after) {
-  ++compare_hangs_;
   if (combiner_.compare->process_state() ==
       core::CompareService::ProcessState::kRetired) {
     return;
@@ -359,7 +351,6 @@ void ResilienceManager::restart_primary() {
 
 void ResilienceManager::enter_degraded() {
   degraded_ = true;
-  ++degraded_entries_;
   degraded_counter_->inc();
   const std::uint64_t epoch = ++degraded_epoch_;
   trace(obs::TraceEvent::kResilienceDegradedEnter,
@@ -383,11 +374,8 @@ void ResilienceManager::enter_degraded() {
           spec.actions = {
               openflow::OutputAction::to(combiner_.edge_neighbor_port[i])};
           spec.priority = core::kFailOpenPriority;
-          combiner_.edges[i]->table().add(std::move(spec), simulator_.now());
+          combiner_.edges[i]->table().add(std::move(spec));
         }
-        NETCO_LOG_INFO("resilience",
-                       "ALARM: fail-open — replica {} bypasses the compare",
-                       kDesignatedReplica);
       });
       break;
     case DegradedPolicy::kFailStatic:
@@ -433,7 +421,7 @@ void ResilienceManager::exit_degraded() {
         punt.match.with_in_port(rp);
         punt.actions = {openflow::OutputAction::controller()};
         punt.priority = core::kPuntPriority;
-        combiner_.edges[i]->table().add(std::move(punt), simulator_.now());
+        combiner_.edges[i]->table().add(std::move(punt));
         break;
       }
     }
@@ -446,7 +434,6 @@ void ResilienceManager::hub_crash(int edge_idx, sim::Duration recover_after) {
     return;
   }
   const auto i = static_cast<std::size_t>(edge_idx);
-  ++hub_crashes_;
   core::remove_hub_rules(*combiner_.edges[i], combiner_.edge_neighbor_port[i]);
   trace(obs::TraceEvent::kResilienceHubCrash, edge_idx, 0);
   if (recover_after > sim::Duration::zero()) {
@@ -479,13 +466,11 @@ void ResilienceManager::heartbeat_loss(sim::Duration duration) {
 
 ResilienceSummary ResilienceManager::summary() const {
   ResilienceSummary s;
-  s.checkpoints = checkpoints_;
-  s.failovers = failovers_;
-  s.compare_crashes = compare_crashes_;
-  s.compare_hangs = compare_hangs_;
-  s.hub_crashes = hub_crashes_;
-  s.heartbeat_misses = heartbeat_misses_;
-  s.degraded_entries = degraded_entries_;
+  // One manager runs per circuit context, so its registry counters are
+  // its own counts.
+  s.checkpoints = checkpoint_counter_->value();
+  s.failovers = failover_counter_->value();
+  s.degraded_entries = degraded_counter_->value();
   s.time_to_failover_ns = time_to_failover_ns_;
   s.gap_loss = gap_loss_;
   s.downtime_drops = combiner_.compare->downtime_drops();
@@ -494,7 +479,6 @@ ResilienceSummary ResilienceManager::summary() const {
         combiner_.compare->stats_for(edge->name());
     if (stats != nullptr) s.suppressed_recovered += stats->suppressed_recovered;
   }
-  if (standby_ != nullptr) s.shadow_releases = standby_->shadow_releases();
   return s;
 }
 

@@ -91,10 +91,6 @@ inline constexpr sim::Duration kSwitchKeepalive =
 struct ResilienceSummary {
   std::uint64_t checkpoints = 0;        ///< checkpoint rounds taken
   std::uint64_t failovers = 0;          ///< standby promotions
-  std::uint64_t compare_crashes = 0;
-  std::uint64_t compare_hangs = 0;
-  std::uint64_t hub_crashes = 0;
-  std::uint64_t heartbeat_misses = 0;
   std::uint64_t degraded_entries = 0;   ///< times degraded mode was entered
   /// Declared-outage start → standby live (-1 = no failover happened).
   std::int64_t time_to_failover_ns = -1;
@@ -105,8 +101,6 @@ struct ResilienceSummary {
   std::uint64_t downtime_drops = 0;
   /// Post-restart quorums suppressed on checkpoint-recovered entries.
   std::uint64_t suppressed_recovered = 0;
-  /// Quorums the standby reached in shadow mode.
-  std::uint64_t shadow_releases = 0;
 };
 
 /// The warm standby: one shadow CompareCore per edge, fed from the edge's
@@ -225,14 +219,6 @@ class ResilienceManager {
   bool degraded_ = false;
   std::uint64_t degraded_epoch_ = 0;  ///< guards scheduled activations
 
-  // Counters.
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t compare_crashes_ = 0;
-  std::uint64_t compare_hangs_ = 0;
-  std::uint64_t hub_crashes_ = 0;
-  std::uint64_t heartbeat_misses_ = 0;
-  std::uint64_t degraded_entries_ = 0;
   std::int64_t time_to_failover_ns_ = -1;
   std::uint64_t gap_loss_ = 0;
 

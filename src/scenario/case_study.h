@@ -6,8 +6,9 @@
 // Three scenarios:
 //
 //   kBaseline  — all switches benign. 10/10 echo cycles; both screening
-//                methods (per-interface taps à la tcpdump, and flow-table
-//                counters) confirm no packet strays from the benign path.
+//                methods (a tcpdump-style tap on one core switch's
+//                ingress, and the hosts' MAC-filter stray counts) confirm
+//                no packet strays from the benign path.
 //   kAttacked  — the aggregation switch misbehaves: fw1 sees every request
 //                twice (20 arrivals for 10 sent), vm1 sees 0 replies.
 //   kProtected — the same malicious datapath is one replica inside a k=3

@@ -87,7 +87,6 @@ struct SoakResult {
   std::uint64_t trace_records = 0;
   std::uint64_t fault_events_applied = 0;
   std::uint64_t audits = 0;
-  double sim_seconds = 0.0;
   double throughput_pps = 0.0;  ///< offered datagrams / sim second
   /// Wall-clock cost of the run: how fast the *simulator* chews through
   /// the workload. Not deterministic (excluded from the double-run

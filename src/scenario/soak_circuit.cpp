@@ -306,10 +306,10 @@ void SoakCircuit::finalize() {
   }
   result_.trace_records = checker_.records_seen();
   result_.fault_events_applied = injector_->applied();
-  result_.sim_seconds = topo_->simulator().now().since_origin().sec();
+  const double sim_seconds = topo_->simulator().now().since_origin().sec();
   result_.throughput_pps =
-      result_.sim_seconds > 0.0
-          ? static_cast<double>(result_.datagrams_sent) / result_.sim_seconds
+      sim_seconds > 0.0
+          ? static_cast<double>(result_.datagrams_sent) / sim_seconds
           : 0.0;
   result_.wall_pps =
       result_.wall_seconds > 0.0

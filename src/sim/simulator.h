@@ -182,10 +182,6 @@ class Simulator {
     slab_->owner.store(std::this_thread::get_id(),
                        std::memory_order_relaxed);
   }
-  /// Removes the owner binding (the simulator is single-threaded again).
-  void unbind_owner_thread() noexcept {
-    slab_->owner.store(std::thread::id{}, std::memory_order_relaxed);
-  }
 
  private:
   struct Event {

@@ -56,7 +56,7 @@ Figure3Topology::Figure3Topology(Figure3Options options)
     bcast.match.with_dl_dst(net::MacAddress::broadcast());
     bcast.actions = {openflow::OutputAction::flood()};
     bcast.priority = 5;
-    sw->table().add(std::move(bcast), simulator_.now());
+    sw->table().add(std::move(bcast));
   }
 
   controller::install_mac_route(s1, h2_mac, s1_r3.a_port);

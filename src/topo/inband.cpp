@@ -19,7 +19,6 @@ InbandCombinerTopology::InbandCombinerTopology()
 
 void InbandCombinerTopology::build() {
   const int k = kReplicas;
-  const auto now = simulator_.now();
   const auto h1_mac = net::MacAddress::from_id(1);
   const auto h2_mac = net::MacAddress::from_id(2);
   const link::LinkConfig wire{};
@@ -78,14 +77,14 @@ void InbandCombinerTopology::build() {
           openflow::OutputAction::to(static_cast<device::PortIndex>(1 + j)));
     }
     hub.priority = 30;
-    edge.table().add(std::move(hub), now);
+    edge.table().add(std::move(hub));
 
     // Direct replica → edge traffic is never legitimate here: drop.
     for (int j = 0; j < k; ++j) {
       openflow::FlowSpec drop;
       drop.match.with_in_port(static_cast<device::PortIndex>(1 + j));
       drop.priority = 20;
-      edge.table().add(std::move(drop), now);
+      edge.table().add(std::move(drop));
     }
 
     // Released packets from the middlebox go to the host.

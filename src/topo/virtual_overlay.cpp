@@ -28,7 +28,6 @@ openflow::OpenFlowSwitch& VirtualOverlayTopology::path_switch(int path,
 
 void VirtualOverlayTopology::build() {
   const int k = options_.paths;
-  const auto now = simulator_.now();
   const auto vendors = core::default_replica_profiles();
   const link::LinkConfig wire{};
 
@@ -65,12 +64,12 @@ void VirtualOverlayTopology::build() {
       fwd.match.with_in_port(0);
       fwd.actions = {openflow::OutputAction::to(1)};
       fwd.priority = 10;
-      sw->table().add(std::move(fwd), now);
+      sw->table().add(std::move(fwd));
       openflow::FlowSpec rev;
       rev.match.with_in_port(1);
       rev.actions = {openflow::OutputAction::to(0)};
       rev.priority = 10;
-      sw->table().add(std::move(rev), now);
+      sw->table().add(std::move(rev));
     }
   }
 
@@ -94,7 +93,7 @@ void VirtualOverlayTopology::build() {
           openflow::OutputAction::to(static_cast<device::PortIndex>(1 + i)));
     }
     split.priority = core::kHubPriority;
-    edge.table().add(std::move(split), now);
+    edge.table().add(std::move(split));
 
     core::CompareService::EdgeConfig config;
     config.compare.k = k;
@@ -106,13 +105,13 @@ void VirtualOverlayTopology::build() {
       screen.match.with_in_port(port).with_dl_src(local_mac);
       screen.actions = {};
       screen.priority = core::kScreenPriority;
-      edge.table().add(std::move(screen), now);
+      edge.table().add(std::move(screen));
 
       openflow::FlowSpec punt;
       punt.match.with_in_port(port);
       punt.actions = {openflow::OutputAction::controller()};
       punt.priority = core::kPuntPriority;
-      edge.table().add(std::move(punt), now);
+      edge.table().add(std::move(punt));
 
       config.replica_vlans[static_cast<std::uint16_t>(
           VirtualOverlayOptions::kBaseVlan + i)] = i;

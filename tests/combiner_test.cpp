@@ -152,9 +152,9 @@ TEST_P(CombinerShape, StructureMatchesConfiguration) {
   for (std::size_t i = 0; i < inst.edges.size(); ++i) {
     std::size_t hubs = 0;
     std::size_t screens = 0;
-    for (const auto& entry : inst.edges[i]->table().entries()) {
-      if (entry.spec.priority == kHubPriority) ++hubs;
-      if (entry.spec.priority == kScreenPriority) ++screens;
+    for (const auto& rule : inst.edges[i]->table().entries()) {
+      if (rule.priority == kHubPriority) ++hubs;
+      if (rule.priority == kScreenPriority) ++screens;
     }
     EXPECT_EQ(hubs, 1u) << "edge " << i;
     EXPECT_EQ(screens, k * attachments[i].local_macs.size()) << "edge " << i;

@@ -1,4 +1,4 @@
-// Unit tests for src/common: RNG, formatting, hashing, ids, units.
+// Unit tests for src/common: RNG, formatting, hashing, units.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -7,7 +7,6 @@
 #include "common/fmt.h"
 #include "common/hash.h"
 #include "common/rng.h"
-#include "common/strong_id.h"
 #include "common/units.h"
 
 namespace netco {
@@ -126,19 +125,6 @@ TEST(Hash, DifferentInputsDifferentHashes) {
   const std::byte a[] = {std::byte{1}, std::byte{2}};
   const std::byte b[] = {std::byte{2}, std::byte{1}};
   EXPECT_NE(fnv1a(a), fnv1a(b));
-}
-
-TEST(StrongId, DefaultIsInvalid) {
-  using TestId = StrongId<struct TestTag>;
-  EXPECT_FALSE(TestId{}.valid());
-  EXPECT_EQ(TestId{}, TestId::invalid());
-}
-
-TEST(StrongId, ComparesByValue) {
-  using TestId = StrongId<struct TestTag>;
-  EXPECT_LT(TestId{1}, TestId{2});
-  EXPECT_EQ(TestId{7}, TestId{7});
-  EXPECT_TRUE(TestId{0}.valid());
 }
 
 TEST(Units, DataRateConversions) {

@@ -62,19 +62,18 @@ struct ServiceFixture {
     net.connect(edge, r2);
     net.connect(edge, out);
 
-    const auto now = sim.now();
     for (device::PortIndex p = 0; p < 3; ++p) {
       openflow::FlowSpec punt;
       punt.match.with_in_port(p);
       punt.actions = {openflow::OutputAction::controller()};
       punt.priority = 20;
-      edge.table().add(std::move(punt), now);
+      edge.table().add(std::move(punt));
     }
     openflow::FlowSpec route;
     route.match.with_dl_dst(net::MacAddress::from_id(2));
     route.actions = {openflow::OutputAction::to(3)};
     route.priority = 10;
-    edge.table().add(std::move(route), now);
+    edge.table().add(std::move(route));
 
     CompareService::EdgeConfig config;
     config.replica_ports = {{0, 0}, {1, 1}, {2, 2}};
@@ -122,7 +121,7 @@ TEST(CompareService, UnknownPortCounted) {
   punt.match.with_in_port(3);
   punt.actions = {openflow::OutputAction::controller()};
   punt.priority = 30;
-  f.edge.table().add(std::move(punt), f.sim.now());
+  f.edge.table().add(std::move(punt));
   f.out.send(0, udp_packet(9));
   f.sim.run_for(sim::Duration::milliseconds(5));
   EXPECT_EQ(f.service.unknown_port_drops(), 1u);
@@ -154,12 +153,12 @@ TEST(CompareService, VlanKeyedReplicasCompareStripped) {
   punt.match.with_in_port(0);
   punt.actions = {openflow::OutputAction::controller()};
   punt.priority = 20;
-  edge.table().add(std::move(punt), sim.now());
+  edge.table().add(std::move(punt));
   openflow::FlowSpec route;
   route.match.with_dl_dst(net::MacAddress::from_id(2));
   route.actions = {openflow::OutputAction::to(1)};
   route.priority = 10;
-  edge.table().add(std::move(route), sim.now());
+  edge.table().add(std::move(route));
 
   CompareService service;
   controller::Controller controller(sim, "cmp", service);
@@ -188,7 +187,7 @@ TEST(CompareService, UntaggedPacketInVlanModeDropped) {
   openflow::FlowSpec punt;
   punt.match.with_in_port(0);
   punt.actions = {openflow::OutputAction::controller()};
-  edge.table().add(std::move(punt), sim.now());
+  edge.table().add(std::move(punt));
 
   CompareService service;
   controller::Controller controller(sim, "cmp", service);
@@ -221,7 +220,7 @@ TEST(CompareService, UnblockTimerSurvivesDetachedEdge) {
     punt.match.with_in_port(p);
     punt.actions = {openflow::OutputAction::controller()};
     punt.priority = 20;
-    edge.table().add(std::move(punt), sim.now());
+    edge.table().add(std::move(punt));
   }
 
   CompareService service;

@@ -1,11 +1,9 @@
-// Unit tests for the controller framework, learning switch and static
-// routing apps.
+// Unit tests for the controller framework and the static MAC routes.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "controller/controller.h"
-#include "controller/learning_switch.h"
 #include "controller/static_routing.h"
 #include "device/network.h"
 #include "net/headers.h"
@@ -161,43 +159,6 @@ TEST(Controller, ChargeExtraDelaysNextMessage) {
             sim::Duration::milliseconds(5).ns());
 }
 
-TEST(LearningSwitch, FloodsUnknownThenInstallsFlow) {
-  sim::Simulator sim;
-  Network net(sim);
-  auto& sw = net.add_node<openflow::OpenFlowSwitch>("sw");
-  auto& a = net.add_node<Probe>("a");
-  auto& b = net.add_node<Probe>("b");
-  auto& c = net.add_node<Probe>("c");
-  net.connect(sw, a);
-  net.connect(sw, b);
-  net.connect(sw, c);
-
-  LearningSwitchApp app;
-  Controller controller(sim, "ctl", app);
-  controller.attach(sw);
-
-  // a (id 1) → b (id 2): unknown destination → flooded to b and c.
-  a.send(0, udp_packet(1, 2));
-  sim.run();
-  EXPECT_EQ(b.received.size(), 1u);
-  EXPECT_EQ(c.received.size(), 1u);
-  EXPECT_EQ(app.learned_count(), 1u);
-
-  // b → a: a's port is known now → unicast + flow installed.
-  b.send(0, udp_packet(2, 1));
-  sim.run();
-  EXPECT_EQ(a.received.size(), 1u);
-  EXPECT_EQ(c.received.size(), 1u);  // no extra flood copy
-  EXPECT_GE(sw.table().size(), 1u);
-
-  // a → b again: now hardware-switched without controller involvement.
-  const auto packet_ins_before = controller.stats().packet_ins_received;
-  b.send(0, udp_packet(2, 1));
-  sim.run();
-  EXPECT_EQ(a.received.size(), 2u);
-  EXPECT_EQ(controller.stats().packet_ins_received, packet_ins_before);
-}
-
 TEST(StaticRouting, InstallDirectRoute) {
   sim::Simulator sim;
   Network net(sim);
@@ -210,100 +171,6 @@ TEST(StaticRouting, InstallDirectRoute) {
   a.send(0, udp_packet(1, 2));
   sim.run();
   EXPECT_EQ(b.received.size(), 1u);
-}
-
-TEST(StaticRouting, DropRuleSilencesDestination) {
-  sim::Simulator sim;
-  Network net(sim);
-  auto& sw = net.add_node<openflow::OpenFlowSwitch>("sw");
-  auto& a = net.add_node<Probe>("a");
-  auto& b = net.add_node<Probe>("b");
-  net.connect(sw, a);
-  net.connect(sw, b);
-  install_mac_route(sw, net::MacAddress::from_id(2), 1);
-  install_mac_drop(sw, net::MacAddress::from_id(2), 20);  // higher priority
-  a.send(0, udp_packet(1, 2));
-  sim.run();
-  EXPECT_EQ(b.received.size(), 0u);
-}
-
-TEST(StaticRouting, AppPushesRoutesOverChannel) {
-  sim::Simulator sim;
-  Network net(sim);
-  auto& sw = net.add_node<openflow::OpenFlowSwitch>("sw");
-  auto& a = net.add_node<Probe>("a");
-  auto& b = net.add_node<Probe>("b");
-  net.connect(sw, a);
-  net.connect(sw, b);
-
-  RouteMap routes;
-  routes["sw"] = {{net::MacAddress::from_id(2), 1}};
-  StaticRoutingApp app(std::move(routes));
-  Controller controller(sim, "ctl", app);
-  controller.attach(sw);
-  sim.run();  // let the flow-mods land
-  EXPECT_EQ(sw.table().size(), 1u);
-
-  a.send(0, udp_packet(1, 2));
-  sim.run();
-  EXPECT_EQ(b.received.size(), 1u);
-
-  // Unrouted destination becomes a policy miss.
-  a.send(0, udp_packet(1, 9));
-  sim.run();
-  EXPECT_EQ(app.miss_count(), 1u);
-}
-
-TEST(FlowStats, RoundTripReturnsCounters) {
-  sim::Simulator sim;
-  Network net(sim);
-  auto& sw = net.add_node<openflow::OpenFlowSwitch>("sw");
-  auto& a = net.add_node<Probe>("a");
-  auto& b = net.add_node<Probe>("b");
-  net.connect(sw, a);
-  net.connect(sw, b);
-  install_mac_route(sw, net::MacAddress::from_id(2), 1);
-
-  LearningSwitchApp app;  // any app; we only need the channel
-  Controller controller(sim, "ctl", app);
-  auto& channel = controller.attach(sw);
-
-  for (int i = 0; i < 4; ++i) a.send(0, udp_packet(1, 2));
-  sim.run();
-
-  // Screen method 2 of the §VI case study: poll the flow counters.
-  std::vector<openflow::FlowStatsEntry> rows;
-  bool done = false;
-  openflow::Match pattern;
-  pattern.with_dl_dst(net::MacAddress::from_id(2));
-  channel.request_flow_stats(pattern, [&](auto r) {
-    rows = std::move(r);
-    done = true;
-  });
-  sim.run();
-  ASSERT_TRUE(done);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].packet_count, 4u);
-  EXPECT_GT(rows[0].byte_count, 0u);
-}
-
-TEST(FlowStats, WildcardPatternReturnsAllEntries) {
-  sim::Simulator sim;
-  Network net(sim);
-  auto& sw = net.add_node<openflow::OpenFlowSwitch>("sw");
-  auto& a = net.add_node<Probe>("a");
-  net.connect(sw, a);
-  install_mac_route(sw, net::MacAddress::from_id(2), 0);
-  install_mac_route(sw, net::MacAddress::from_id(3), 0);
-
-  LearningSwitchApp app;
-  Controller controller(sim, "ctl", app);
-  auto& channel = controller.attach(sw);
-  std::size_t count = 0;
-  channel.request_flow_stats(openflow::Match{},
-                             [&](auto rows) { count = rows.size(); });
-  sim.run();
-  EXPECT_EQ(count, 2u);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@ using openflow::Match;
 
 TEST(FailoverGuard, LookupSkipsDeadGuardedEntry) {
   FlowTable table;
-  const auto now = sim::TimePoint::origin();
   const auto dst = net::MacAddress::from_id(7);
 
   FlowSpec primary;
@@ -32,60 +31,59 @@ TEST(FailoverGuard, LookupSkipsDeadGuardedEntry) {
   primary.actions = {openflow::OutputAction::to(1)};
   primary.priority = 10;
   primary.guard_port = 1;
-  table.add(primary, now);
+  table.add(primary);
 
   FlowSpec backup;
   backup.match = Match{}.with_dl_dst(dst);
   backup.actions = {openflow::OutputAction::to(2)};
   backup.priority = 9;
   backup.cookie = openflow::kFailoverCookie;
-  table.add(backup, now);
+  table.add(backup);
 
   const Match key = Match{}.with_dl_dst(dst);
 
   // All ports live: the guarded primary wins, nothing is skipped.
   std::vector<bool> dead(4, false);
   bool skipped = true;
-  openflow::FlowEntry* hit = table.lookup(key, 64, now, &dead, &skipped);
+  const FlowSpec* hit = table.lookup(key, &dead, &skipped);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->spec.priority, 10);
+  EXPECT_EQ(hit->priority, 10);
   EXPECT_FALSE(skipped);
 
   // Port 1 dead: the backup takes over and the skip is reported.
   dead[1] = true;
-  hit = table.lookup(key, 64, now, &dead, &skipped);
+  hit = table.lookup(key, &dead, &skipped);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->spec.priority, 9);
-  EXPECT_EQ(hit->spec.cookie, openflow::kFailoverCookie);
+  EXPECT_EQ(hit->priority, 9);
+  EXPECT_EQ(hit->cookie, openflow::kFailoverCookie);
   EXPECT_TRUE(skipped);
 
   // Recovery: the primary rule matches again.
   dead[1] = false;
-  hit = table.lookup(key, 64, now, &dead, &skipped);
+  hit = table.lookup(key, &dead, &skipped);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->spec.priority, 10);
+  EXPECT_EQ(hit->priority, 10);
   EXPECT_FALSE(skipped);
 
   // Without a liveness vector the guard is inert (legacy callers).
-  hit = table.lookup(key, 64, now);
+  hit = table.lookup(key);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->spec.priority, 10);
+  EXPECT_EQ(hit->priority, 10);
 }
 
 TEST(FailoverGuard, AllGuardedEntriesDeadIsAMiss) {
   FlowTable table;
-  const auto now = sim::TimePoint::origin();
   const auto dst = net::MacAddress::from_id(9);
   FlowSpec only;
   only.match = Match{}.with_dl_dst(dst);
   only.actions = {openflow::OutputAction::to(0)};
   only.priority = 5;
   only.guard_port = 0;
-  table.add(only, now);
+  table.add(only);
 
   std::vector<bool> dead{true};
   bool skipped = false;
-  EXPECT_EQ(table.lookup(Match{}.with_dl_dst(dst), 64, now, &dead, &skipped),
+  EXPECT_EQ(table.lookup(Match{}.with_dl_dst(dst), &dead, &skipped),
             nullptr);
   EXPECT_TRUE(skipped);
 }
@@ -112,12 +110,11 @@ TEST(FailoverCompiler, CompilesGuardedLayerForPlainFatTree) {
   const auto remote = topo.host(1, 0, 0).mac();
   bool guarded_primary = false;
   bool cookied_backup = false;
-  for (const openflow::FlowEntry& entry : topo.edge(0, 0).table().entries()) {
-    if (entry.spec.priority == 10 && entry.spec.match.covers(
-            Match{}.with_dl_dst(remote))) {
-      guarded_primary |= entry.spec.guard_port != device::kNoPort;
+  for (const FlowSpec& rule : topo.edge(0, 0).table().entries()) {
+    if (rule.priority == 10 && rule.match.covers(Match{}.with_dl_dst(remote))) {
+      guarded_primary |= rule.guard_port != device::kNoPort;
     }
-    cookied_backup |= entry.spec.cookie == openflow::kFailoverCookie;
+    cookied_backup |= rule.cookie == openflow::kFailoverCookie;
   }
   EXPECT_TRUE(guarded_primary);
   EXPECT_TRUE(cookied_backup);

@@ -150,18 +150,15 @@ TEST(FaultPlan, JsonRoundTripsEveryKindAndBehavior) {
   EXPECT_EQ(parsed->to_json(), json);
 }
 
-TEST(FaultPlan, LegacyLinesWithoutNodePeerStillParse) {
-  // Plans serialized before the fabric vocabulary existed carry no
-  // node/peer members; they must load with the -1 defaults so archived
-  // bench artifacts stay replayable.
-  const auto parsed = FaultPlan::from_json(
-      "{\"t\":1,\"kind\":\"link.down\",\"edge\":0,\"replica\":1,"
-      "\"loss\":0,\"latency_ns\":0,\"capacity\":0,\"behavior\":\"honest\","
-      "\"duration_ns\":0}");
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->events.size(), 1u);
-  EXPECT_EQ(parsed->events[0].node, -1);
-  EXPECT_EQ(parsed->events[0].peer, -1);
+TEST(FaultPlan, RecordWithoutNodePeerRejected) {
+  // Every record to_json() writes carries all eleven fields; a record
+  // that stops after duration_ns is malformed, not an older shape.
+  EXPECT_FALSE(
+      FaultPlan::from_json(
+          "{\"t\":1,\"kind\":\"link.down\",\"edge\":0,\"replica\":1,"
+          "\"loss\":0,\"latency_ns\":0,\"capacity\":0,\"behavior\":\"honest\","
+          "\"duration_ns\":0}")
+          .has_value());
 }
 
 TEST(FaultPlan, FromJsonRejectsUnknownFabricKind) {
@@ -223,7 +220,7 @@ TEST(FaultPlan, FromJsonRejectsMalformedInput) {
       FaultPlan::from_json(
           "{\"t\":1,\"kind\":\"no.such.kind\",\"edge\":0,\"replica\":0,"
           "\"loss\":0,\"latency_ns\":0,\"capacity\":0,\"behavior\":\"honest\","
-          "\"duration_ns\":0}")
+          "\"duration_ns\":0,\"node\":-1,\"peer\":-1}")
           .has_value());
 }
 
@@ -235,7 +232,7 @@ TEST(FaultPlan, FromJsonRejectsUnknownRoutingKind) {
       FaultPlan::from_json(
           "{\"t\":1,\"kind\":\"routing.posion\",\"edge\":-1,\"replica\":0,"
           "\"loss\":0,\"latency_ns\":0,\"capacity\":0,\"behavior\":\"honest\","
-          "\"duration_ns\":0}")
+          "\"duration_ns\":0,\"node\":-1,\"peer\":-1}")
           .has_value());
   // The correctly-spelled kinds parse.
   for (const char* kind :
@@ -243,7 +240,8 @@ TEST(FaultPlan, FromJsonRejectsUnknownRoutingKind) {
     const std::string line =
         std::string("{\"t\":1,\"kind\":\"") + kind +
         "\",\"edge\":-1,\"replica\":0,\"loss\":0,\"latency_ns\":0,"
-        "\"capacity\":0,\"behavior\":\"honest\",\"duration_ns\":0}";
+        "\"capacity\":0,\"behavior\":\"honest\",\"duration_ns\":0,"
+        "\"node\":-1,\"peer\":-1}";
     const auto parsed = FaultPlan::from_json(line);
     ASSERT_TRUE(parsed.has_value()) << kind;
     ASSERT_EQ(parsed->events.size(), 1u) << kind;

@@ -117,12 +117,12 @@ TEST(FlowTable, HighestPriorityWins) {
   FlowSpec high = low;
   high.actions = {OutputAction::to(2)};
   high.priority = 10;
-  table.add(low, {});
-  table.add(high, {});
+  table.add(low);
+  table.add(high);
 
-  const auto* entry = table.peek(key_of(udp_packet(1, 2), 0), {});
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->spec.priority, 10);
+  const FlowSpec* rule = table.lookup(key_of(udp_packet(1, 2), 0));
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(rule->priority, 10);
 }
 
 TEST(FlowTable, AddReplacesStrictlyIdenticalMatch) {
@@ -131,50 +131,22 @@ TEST(FlowTable, AddReplacesStrictlyIdenticalMatch) {
   spec.match.with_dl_dst(net::MacAddress::from_id(2));
   spec.actions = {OutputAction::to(1)};
   spec.priority = 5;
-  table.add(spec, {});
+  table.add(spec);
   spec.actions = {OutputAction::to(9)};
-  table.add(spec, {});
+  table.add(spec);
   EXPECT_EQ(table.size(), 1u);
-  const auto* entry = table.peek(key_of(udp_packet(1, 2), 0), {});
-  EXPECT_EQ(std::get<OutputAction>(entry->spec.actions[0]).port, 9u);
+  const FlowSpec* rule = table.lookup(key_of(udp_packet(1, 2), 0));
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(std::get<OutputAction>(rule->actions[0]).port, 9u);
 }
 
-TEST(FlowTable, LookupUpdatesCounters) {
-  FlowTable table;
-  FlowSpec spec;
-  spec.actions = {OutputAction::to(1)};
-  table.add(spec, {});
-  const auto p = udp_packet(1, 2);
-  auto* entry = table.lookup(key_of(p, 0), p.size(), {});
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->packet_count, 1u);
-  EXPECT_EQ(entry->byte_count, p.size());
-  EXPECT_EQ(table.stats().lookups, 1u);
-  EXPECT_EQ(table.stats().hits, 1u);
-}
-
-TEST(FlowTable, MissLeavesCountersUntouched) {
+TEST(FlowTable, MissReturnsNull) {
   FlowTable table;
   FlowSpec spec;
   spec.match.with_dl_dst(net::MacAddress::from_id(7));
   spec.actions = {OutputAction::to(1)};
-  table.add(spec, {});
-  EXPECT_EQ(table.lookup(key_of(udp_packet(1, 2), 0), 64, {}), nullptr);
-  EXPECT_EQ(table.stats().hits, 0u);
-}
-
-TEST(FlowTable, NonStrictDeleteRemovesCovered) {
-  FlowTable table;
-  for (std::uint32_t id = 1; id <= 3; ++id) {
-    FlowSpec spec;
-    spec.match.with_dl_dst(net::MacAddress::from_id(id)).with_in_port(0);
-    spec.actions = {OutputAction::to(1)};
-    table.add(spec, {});
-  }
-  Match pattern;
-  pattern.with_in_port(0);  // covers all three
-  EXPECT_EQ(table.remove(pattern), 3u);
-  EXPECT_EQ(table.size(), 0u);
+  table.add(spec);
+  EXPECT_EQ(table.lookup(key_of(udp_packet(1, 2), 0)), nullptr);
 }
 
 TEST(FlowTable, StrictDeleteNeedsExactPriority) {
@@ -183,52 +155,9 @@ TEST(FlowTable, StrictDeleteNeedsExactPriority) {
   spec.match.with_in_port(0);
   spec.actions = {OutputAction::to(1)};
   spec.priority = 5;
-  table.add(spec, {});
+  table.add(spec);
   EXPECT_EQ(table.remove_strict(spec.match, 4), 0u);
   EXPECT_EQ(table.remove_strict(spec.match, 5), 1u);
-}
-
-TEST(FlowTable, ModifyRewritesActions) {
-  FlowTable table;
-  FlowSpec spec;
-  spec.match.with_in_port(0);
-  spec.actions = {OutputAction::to(1)};
-  table.add(spec, {});
-  EXPECT_EQ(table.modify_actions(Match{}, {OutputAction::to(7)}), 1u);
-  const auto* entry = table.peek(key_of(udp_packet(1, 2), 0), {});
-  EXPECT_EQ(std::get<OutputAction>(entry->spec.actions[0]).port, 7u);
-}
-
-TEST(FlowTable, HardTimeoutExpires) {
-  FlowTable table;
-  FlowSpec spec;
-  spec.actions = {OutputAction::to(1)};
-  spec.hard_timeout = sim::Duration::seconds(1);
-  table.add(spec, sim::TimePoint::origin());
-
-  const auto just_before =
-      sim::TimePoint::origin() + sim::Duration::milliseconds(999);
-  EXPECT_NE(table.peek(key_of(udp_packet(1, 2), 0), just_before), nullptr);
-  const auto after = sim::TimePoint::origin() + sim::Duration::seconds(2);
-  EXPECT_EQ(table.lookup(key_of(udp_packet(1, 2), 0), 64, after), nullptr);
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.stats().entries_expired, 1u);
-}
-
-TEST(FlowTable, IdleTimeoutRefreshedByTraffic) {
-  FlowTable table;
-  FlowSpec spec;
-  spec.actions = {OutputAction::to(1)};
-  spec.idle_timeout = sim::Duration::seconds(1);
-  table.add(spec, sim::TimePoint::origin());
-
-  auto t = sim::TimePoint::origin();
-  for (int i = 0; i < 5; ++i) {
-    t = t + sim::Duration::milliseconds(800);
-    EXPECT_NE(table.lookup(key_of(udp_packet(1, 2), 0), 64, t), nullptr);
-  }
-  t = t + sim::Duration::milliseconds(1200);  // now idle past the limit
-  EXPECT_EQ(table.lookup(key_of(udp_packet(1, 2), 0), 64, t), nullptr);
 }
 
 // --- Switch datapath --------------------------------------------------------
@@ -267,7 +196,7 @@ TEST(Switch, ForwardsOnMatch) {
   FlowSpec spec;
   spec.match.with_dl_dst(net::MacAddress::from_id(2));
   spec.actions = {OutputAction::to(1)};
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
 
   f.h0.send(0, udp_packet(1, 2));
   f.sim.run();
@@ -280,7 +209,7 @@ TEST(Switch, ForwardsOnMatch) {
 TEST(Switch, EmptyActionListDrops) {
   SwitchFixture f;
   FlowSpec spec;  // matches everything, no actions
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
   f.h0.send(0, udp_packet(1, 2));
   f.sim.run();
   EXPECT_EQ(f.h1.received.size(), 0u);
@@ -299,7 +228,7 @@ TEST(Switch, FloodSkipsIngress) {
   SwitchFixture f;
   FlowSpec spec;
   spec.actions = {OutputAction::flood()};
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
   f.h0.send(0, udp_packet(1, 2));
   f.sim.run();
   EXPECT_EQ(f.h0.received.size(), 0u);
@@ -313,7 +242,7 @@ TEST(Switch, SequentialActionSemantics) {
   FlowSpec spec;
   spec.actions = {OutputAction::to(1), SetVlanVidAction{42},
                   OutputAction::to(2)};
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
   f.h0.send(0, udp_packet(1, 2));
   f.sim.run();
   ASSERT_EQ(f.h1.received.size(), 1u);
@@ -328,7 +257,7 @@ TEST(Switch, MultipleOutputsHubRule) {
   FlowSpec spec;
   spec.match.with_in_port(0);
   spec.actions = {OutputAction::to(1), OutputAction::to(2)};
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
   f.h0.send(0, udp_packet(1, 2));
   f.sim.run();
   EXPECT_EQ(f.h1.received.size(), 1u);
@@ -340,7 +269,7 @@ TEST(Switch, BlockedIngressDrops) {
   SwitchFixture f;
   FlowSpec spec;
   spec.actions = {OutputAction::to(1)};
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
   f.sw.receive_port_mod(PortMod{.port = 0, .blocked = true});
   f.h0.send(0, udp_packet(1, 2));
   f.sim.run();
@@ -357,7 +286,7 @@ TEST(Switch, BlockedEgressDrops) {
   SwitchFixture f;
   FlowSpec spec;
   spec.actions = {OutputAction::to(1)};
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
   f.sw.receive_port_mod(PortMod{.port = 1, .blocked = true});
   f.h0.send(0, udp_packet(1, 2));
   f.sim.run();
@@ -376,7 +305,7 @@ TEST(Switch, ProcessingDelayApplied) {
   net.connect(sw, b);
   FlowSpec spec;
   spec.actions = {OutputAction::to(1)};
-  sw.table().add(spec, sim.now());
+  sw.table().add(spec);
 
   a.send(0, udp_packet(1, 2));
   sim.run();
@@ -406,7 +335,7 @@ TEST(Switch, InterceptorCanSwallow) {
   SwitchFixture f;
   FlowSpec spec;
   spec.actions = {OutputAction::to(1)};
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
   Swallow swallow;
   f.sw.set_interceptor(&swallow);
   f.h0.send(0, udp_packet(1, 2));
@@ -420,7 +349,7 @@ TEST(Switch, PacketOutTableUsesFlowTable) {
   FlowSpec spec;
   spec.match.with_dl_dst(net::MacAddress::from_id(2));
   spec.actions = {OutputAction::to(2)};
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
   f.sw.receive_packet_out(PacketOut{.actions = {OutputAction::table()},
                                     .packet = udp_packet(1, 2),
                                     .in_port = device::kNoPort});
@@ -436,12 +365,12 @@ TEST(Switch, PacketOutTableSkipsInPortRules) {
   punt.match.with_in_port(1);
   punt.actions = {OutputAction::to(0)};
   punt.priority = 20;
-  f.sw.table().add(punt, f.sim.now());
+  f.sw.table().add(punt);
   FlowSpec mac_route;
   mac_route.match.with_dl_dst(net::MacAddress::from_id(2));
   mac_route.actions = {OutputAction::to(2)};
   mac_route.priority = 10;
-  f.sw.table().add(mac_route, f.sim.now());
+  f.sw.table().add(mac_route);
 
   f.sw.receive_packet_out(PacketOut{.actions = {OutputAction::table()},
                                     .packet = udp_packet(1, 2),
@@ -455,7 +384,7 @@ TEST(Switch, PerPortCountersTrack) {
   SwitchFixture f;
   FlowSpec spec;
   spec.actions = {OutputAction::to(1)};
-  f.sw.table().add(spec, f.sim.now());
+  f.sw.table().add(spec);
   f.h0.send(0, udp_packet(1, 2));
   f.h0.send(0, udp_packet(1, 2));
   f.sim.run();

@@ -50,6 +50,16 @@ std::uint64_t counter_in(const std::string& metrics_json,
   return std::stoull(metrics_json.substr(at + key.size()));
 }
 
+/// The harness's resilience counts agree with the run's registry.
+void expect_resilience_counts_match_registry(const SoakResult& r) {
+  EXPECT_EQ(r.resilience_checkpoints,
+            counter_in(r.metrics_json, "resilience.checkpoints"));
+  EXPECT_EQ(r.resilience_failovers,
+            counter_in(r.metrics_json, "resilience.failovers"));
+  EXPECT_EQ(r.resilience_degraded_entries,
+            counter_in(r.metrics_json, "resilience.degraded_entries"));
+}
+
 void expect_clean_failover(const SoakResult& r) {
   EXPECT_TRUE(r.ok()) << "violations=" << r.invariants.violations;
   for (const auto& detail : r.invariants.details) {
@@ -76,6 +86,7 @@ void expect_clean_failover(const SoakResult& r) {
   // agrees with the registry counter and covers every unique delivery.
   EXPECT_EQ(r.compare_released, counter_in(r.metrics_json, "compare.released"));
   EXPECT_GE(r.compare_released, r.delivered_unique);
+  expect_resilience_counts_match_registry(r);
 }
 
 TEST(ResilienceE2E, CompareCrashFailsOverK3) {
@@ -143,6 +154,7 @@ TEST(ResilienceE2E, WarmRestartRecoversWithoutStandby) {
   // checkpoint and the crash.
   EXPECT_EQ(r.compare_released, counter_in(r.metrics_json, "compare.released"));
   EXPECT_GE(r.compare_released, r.delivered_unique);
+  expect_resilience_counts_match_registry(r);
 }
 
 TEST(ResilienceE2E, HeartbeatFalsePositiveFailoverIsDuplicateFree) {

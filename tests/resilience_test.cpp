@@ -147,41 +147,10 @@ TEST(Checkpoint, SampledCountersRoundTrip) {
   EXPECT_EQ(serialize_snapshot(*parsed), text);
 }
 
-TEST(Checkpoint, LegacyFourteenFieldStatsLineParses) {
-  // A v1 checkpoint written before the fast-path counters existed carries
-  // a 14-field stats line; it must restore with the new counters at zero.
-  core::CompareSnapshot snap = populated_core().snapshot(at_ms(7));
-  snap.stats.fastpath_ingested = 41;
-  snap.stats.fastpath_released = 29;
-  snap.stats.sampled_escalated = 3;
-  std::string text = serialize_snapshot(snap);
-
-  const std::size_t begin = text.find("\nstats ");
-  ASSERT_NE(begin, std::string::npos);
-  std::size_t end = text.find('\n', begin + 1);
-  ASSERT_NE(end, std::string::npos);
-  // Drop the last three space-separated fields of the stats line.
-  for (int i = 0; i < 3; ++i) {
-    end = text.rfind(' ', end - 1);
-    ASSERT_NE(end, std::string::npos);
-    ASSERT_GT(end, begin);
-  }
-  const std::string legacy =
-      text.substr(0, end) + text.substr(text.find('\n', end));
-
-  const auto parsed = parse_snapshot(legacy);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->stats.ingested, snap.stats.ingested);
-  EXPECT_EQ(parsed->stats.released, snap.stats.released);
-  EXPECT_EQ(parsed->stats.fastpath_ingested, 0u);
-  EXPECT_EQ(parsed->stats.fastpath_released, 0u);
-  EXPECT_EQ(parsed->stats.sampled_escalated, 0u);
-}
-
 TEST(Checkpoint, TornStatsLineRejectedWhole) {
-  // A stats line torn mid-record — 15 or 16 fields, or trailing garbage —
-  // is neither the legacy 14-field nor the full 17-field shape: the whole
-  // checkpoint must refuse to parse, never restore half a counter block.
+  // A stats line torn mid-record — 14 to 16 fields, or trailing garbage —
+  // is not the 17-field shape: the whole checkpoint must refuse to parse,
+  // never restore half a counter block.
   core::CompareSnapshot snap = populated_core().snapshot(at_ms(7));
   snap.stats.fastpath_ingested = 41;
   snap.stats.fastpath_released = 29;
@@ -194,7 +163,7 @@ TEST(Checkpoint, TornStatsLineRejectedWhole) {
   ASSERT_NE(eol, std::string::npos);
 
   std::size_t cut = eol;
-  for (int dropped = 1; dropped <= 2; ++dropped) {
+  for (int dropped = 1; dropped <= 3; ++dropped) {
     cut = text.rfind(' ', cut - 1);
     ASSERT_NE(cut, std::string::npos);
     const std::string torn = text.substr(0, cut) + text.substr(eol);
