@@ -733,36 +733,29 @@ void CompareCore::set_cache_capacity(std::size_t capacity, sim::TimePoint now) {
   drain_vote_evictions(now);
 }
 
-CompareSnapshot CompareCore::snapshot(sim::TimePoint now) const {
+CompareSnapshot CompareCore::snapshot() const {
   CompareSnapshot snap;
-  snap.at_ns = now.ns();
   snap.stats = stats_;
   snap.live_mask = live_mask_;
   snap.live_count = live_count_;
-  snap.live_since_ns.reserve(live_since_.size());
-  for (const sim::TimePoint& t : live_since_) {
-    snap.live_since_ns.push_back(t.ns());
-  }
+  snap.live_since = live_since_;
   snap.missed_streak = missed_streak_;
-  snap.flagged_block.assign(flagged_block_.begin(), flagged_block_.end());
-  snap.flagged_inactive.assign(flagged_inactive_.begin(),
-                               flagged_inactive_.end());
+  snap.flagged_block = flagged_block_;
+  snap.flagged_inactive = flagged_inactive_;
   snap.entries.reserve(store_.size(SlotKind::kEntry));
   // Age order, oldest first: restore() re-inserts in this order, so the
   // rebuilt age list is byte-for-byte the original eviction order.
   for (Slot e = store_.head(SlotKind::kEntry); e != CompareStore::kNil;
        e = store_.next_in_age(e)) {
-    SnapshotEntry se;
-    se.key = store_.key(e);
-    const auto bytes = store_.exemplar(e).bytes();
-    se.payload.assign(bytes.begin(), bytes.end());
-    se.replica_mask = store_.mask(e);
-    se.first_replica = store_.first_replica(e);
-    se.holds_singleton_slot = store_.holds_quota(e);
-    se.released = store_.released(e);
-    se.recovered = store_.recovered(e);
-    se.first_seen_ns = store_.first_seen_ns(e);
-    snap.entries.push_back(std::move(se));
+    snap.entries.push_back(SnapshotEntry{
+        .key = store_.key(e),
+        .exemplar = store_.exemplar(e),
+        .replica_mask = store_.mask(e),
+        .first_replica = store_.first_replica(e),
+        .holds_singleton_slot = store_.holds_quota(e),
+        .released = store_.released(e),
+        .recovered = store_.recovered(e),
+        .first_seen_ns = store_.first_seen_ns(e)});
   }
   return snap;
 }
@@ -778,33 +771,23 @@ void CompareCore::restore(const CompareSnapshot& snap, sim::TimePoint now) {
   // arrivals would re-accuse replicas for traffic already judged.
   arrival_ns_.assign(n, {});
   garbage_ns_.assign(n, {});
-  missed_streak_.assign(n, 0);
-  flagged_block_.assign(n, false);
-  flagged_inactive_.assign(n, false);
-  live_since_.assign(n, sim::TimePoint::origin());
   pending_advice_ = CompareAdvice{};
   last_cleanup_work_ = 0;
 
+  // A snapshot always comes from a core with the same k.
+  NETCO_DASSERT(snap.live_since.size() == n);
   stats_ = snap.stats;
   live_mask_ = snap.live_mask;
   live_count_ = snap.live_count;
-  for (std::size_t i = 0; i < n && i < snap.live_since_ns.size(); ++i) {
-    live_since_[i] = sim::TimePoint::from_ns(snap.live_since_ns[i]);
-  }
-  for (std::size_t i = 0; i < n && i < snap.missed_streak.size(); ++i) {
-    missed_streak_[i] = snap.missed_streak[i];
-  }
-  for (std::size_t i = 0; i < n && i < snap.flagged_block.size(); ++i) {
-    flagged_block_[i] = snap.flagged_block[i];
-  }
-  for (std::size_t i = 0; i < n && i < snap.flagged_inactive.size(); ++i) {
-    flagged_inactive_[i] = snap.flagged_inactive[i];
-  }
+  live_since_ = snap.live_since;
+  missed_streak_ = snap.missed_streak;
+  flagged_block_ = snap.flagged_block;
+  flagged_inactive_ = snap.flagged_inactive;
 
   for (const SnapshotEntry& se : snap.entries) {
     const Slot e = store_.insert(SlotKind::kEntry, se.key, se.first_seen_ns,
                                  se.first_replica, se.holds_singleton_slot);
-    store_.exemplar(e) = net::Packet(std::vector<std::byte>(se.payload));
+    store_.exemplar(e) = se.exemplar;
     store_.set_mask(e, se.replica_mask);
     if (se.released) store_.set_released(e);
     // The conservative-replay taint: an unreleased checkpoint entry may

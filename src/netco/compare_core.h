@@ -150,37 +150,44 @@ struct CompareStats {
   std::uint64_t sampled_escalated = 0;  ///< packets elected for full verify
   std::size_t cache_entries = 0;          ///< current occupancy
   std::size_t max_cache_entries = 0;
+
+  friend bool operator==(const CompareStats&, const CompareStats&) = default;
 };
 
-/// One full-verify entry, externalized for checkpointing (src/resilience).
-/// The exemplar travels as raw wire bytes; everything else mirrors the
-/// entry slot.
+/// One full-verify entry as a checkpoint holds it (src/resilience). The
+/// exemplar shares the entry's copy-on-write payload; everything else
+/// mirrors the entry slot.
 struct SnapshotEntry {
   std::uint64_t key = 0;
-  std::vector<std::byte> payload;
+  net::Packet exemplar;
   std::uint64_t replica_mask = 0;
   int first_replica = 0;
   bool holds_singleton_slot = false;
   bool released = false;
   bool recovered = false;
   std::int64_t first_seen_ns = 0;
+
+  friend bool operator==(const SnapshotEntry&, const SnapshotEntry&) = default;
 };
 
-/// Serializable compare state: everything a warm restart needs to resume
-/// conservatively — cache entries in age order, counters, the live set
-/// with its `live_since` causality marks, and the case-2/3 monitor state.
-/// The per-replica rate windows are deliberately NOT captured: replaying
-/// them after a crash would re-accuse replicas for pre-crash traffic.
+/// An in-memory checkpoint of a core: everything a warm restart needs to
+/// resume conservatively — cache entries in age order, counters, the live
+/// set with its `live_since` causality marks, and the case-2/3 monitor
+/// state. The per-replica rate windows are deliberately NOT captured:
+/// replaying them after a crash would re-accuse replicas for pre-crash
+/// traffic.
 struct CompareSnapshot {
-  std::int64_t at_ns = 0;  ///< when the snapshot was taken
   CompareStats stats;
   std::uint64_t live_mask = 0;
   int live_count = 0;
-  std::vector<std::int64_t> live_since_ns;
+  std::vector<sim::TimePoint> live_since;
   std::vector<std::uint64_t> missed_streak;
   std::vector<bool> flagged_block;
   std::vector<bool> flagged_inactive;
   std::vector<SnapshotEntry> entries;  ///< oldest first (age order)
+
+  friend bool operator==(const CompareSnapshot&,
+                         const CompareSnapshot&) = default;
 };
 
 /// Outcome of one fast-path ingest (see CompareCore::ingest_sampled).
@@ -277,9 +284,9 @@ class CompareCore {
 
   // --- crash-recovery integration (src/resilience) ----------------------
 
-  /// Captures the full serializable state (cache in age order, counters,
-  /// live set + causality marks, monitor state) as of `now`.
-  [[nodiscard]] CompareSnapshot snapshot(sim::TimePoint now) const;
+  /// Captures the state a warm restart needs (cache in age order,
+  /// counters, live set + causality marks, monitor state).
+  [[nodiscard]] CompareSnapshot snapshot() const;
 
   /// Warm restart: discards all current state and rebuilds from a
   /// snapshot. Every restored entry that was NOT released at checkpoint

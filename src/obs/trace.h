@@ -55,7 +55,7 @@ enum class TraceEvent : std::uint8_t {
   kCompareSuppressed,    ///< quorum reached but release withheld (shadow
                          ///< standby, or a checkpoint-restored entry whose
                          ///< pre-crash release status is unknown)
-  kResilienceCheckpoint,    ///< compare state serialized to stable storage
+  kResilienceCheckpoint,    ///< compare state snapshotted for a restart
   kResilienceCrash,         ///< compare process died (state lost)
   kResilienceHang,          ///< compare process stopped responding
   kResilienceRestore,       ///< compare warm-restarted from a checkpoint
@@ -148,7 +148,9 @@ struct TraceRecord {
   TraceEvent event{};            ///< lifecycle stage
   std::uint64_t packet_id = 0;   ///< stable id (content hash of wire bytes)
   std::int32_t replica = -1;     ///< replica index when attributable, else -1
-  std::uint32_t bytes = 0;       ///< packet size on the wire
+  /// Packet size on the wire. Resilience records carry a count instead:
+  /// snapshot entries (checkpoint, restore) or gap loss (failover).
+  std::uint32_t bytes = 0;
   ComponentName component;       ///< emitting component ("netco-e0", ...)
 };
 static_assert(std::is_trivially_copyable_v<TraceRecord>);

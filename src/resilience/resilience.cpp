@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "resilience/checkpoint.h"
 
 namespace netco::resilience {
 
@@ -157,7 +156,7 @@ ResilienceManager::ResilienceManager(sim::Simulator& simulator,
       miss_counter_(&obs_->metrics.counter("resilience.heartbeat_misses")),
       degraded_counter_(&obs_->metrics.counter("resilience.degraded_entries")) {
   NETCO_ASSERT(combiner_.compare != nullptr);
-  checkpoint_text_.resize(combiner_.edges.size());
+  checkpoints_.resize(combiner_.edges.size());
 
   if (config_.standby) {
     standby_ = std::make_unique<StandbyCompare>(simulator_, combiner_);
@@ -186,11 +185,11 @@ ResilienceManager::ResilienceManager(sim::Simulator& simulator,
 }
 
 void ResilienceManager::trace(obs::TraceEvent event, int replica,
-                              std::uint64_t bytes) {
+                              std::uint64_t count) {
   obs::Tracer& tracer = obs_->tracer;
   if (tracer.enabled()) {
     tracer.emit(simulator_.now().ns(), event, 0, "resilience", replica,
-                static_cast<std::uint32_t>(bytes));
+                static_cast<std::uint32_t>(count));
   }
 }
 
@@ -199,14 +198,9 @@ void ResilienceManager::take_checkpoint() {
     core::CompareCore* core =
         combiner_.compare->core_for(combiner_.edges[i]->name());
     if (core == nullptr) continue;
-    std::string text = serialize_snapshot(core->snapshot(simulator_.now()));
-    // Round-trip through the codec on every checkpoint: an encoder/decoder
-    // skew surfaces as a failed checkpoint in the first soak, not during
-    // disaster recovery.
-    NETCO_ASSERT(parse_snapshot(text).has_value());
+    checkpoints_[i] = core->snapshot();
     trace(obs::TraceEvent::kResilienceCheckpoint, static_cast<int>(i),
-          text.size());
-    checkpoint_text_[i] = std::move(text);
+          checkpoints_[i].entries.size());
   }
   checkpoint_counter_->inc();
 }
@@ -333,10 +327,8 @@ void ResilienceManager::restart_primary() {
       core::CompareCore* core =
           combiner_.compare->core_for(combiner_.edges[i]->name());
       if (core == nullptr) continue;
-      auto snap = parse_snapshot(checkpoint_text_[i]);
-      NETCO_ASSERT(snap.has_value());  // verified when captured
-      core->restore(*snap, simulator_.now());
-      restored += snap->entries.size();
+      core->restore(checkpoints_[i], simulator_.now());
+      restored += checkpoints_[i].entries.size();
     }
   }
   // A hang kept its memory: becoming live again is the whole recovery.

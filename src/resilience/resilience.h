@@ -6,11 +6,11 @@
 // exactly those components:
 //
 //  * Compare crash-recovery: ResilienceManager checkpoints every edge's
-//    CompareCore periodically (through the text codec in checkpoint.h, so
-//    writer and parser cannot skew) and warm-restarts a crashed process
-//    from the last checkpoint. Restored unreleased entries are tainted
-//    (CompareCore::restore) so recovery never double-releases: the
-//    at-most-once guarantee costs bounded gap loss, never a duplicate.
+//    CompareCore periodically (an in-memory CompareSnapshot per edge) and
+//    warm-restarts a crashed process from the last checkpoint. Restored
+//    unreleased entries are tainted (CompareCore::restore) so recovery
+//    never double-releases: the at-most-once guarantee costs bounded gap
+//    loss, never a duplicate.
 //  * Warm standby failover: StandbyCompare shadows the primary — per-edge
 //    shadow cores fed from the edge ingress tap, reaching the same
 //    quorums but withholding every release. A heartbeat watchdog (missed
@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -194,15 +193,15 @@ class ResilienceManager {
   void enter_degraded();
   void exit_degraded();
   void begin_outage();
-  void trace(obs::TraceEvent event, int replica, std::uint64_t bytes);
+  void trace(obs::TraceEvent event, int replica, std::uint64_t count);
 
   sim::Simulator& simulator_;
   core::CombinerInstance& combiner_;
   ResilienceConfig config_;
   std::unique_ptr<StandbyCompare> standby_;
 
-  /// Latest good checkpoint text per edge (round-trip-verified at capture).
-  std::vector<std::string> checkpoint_text_;
+  /// Latest checkpoint per edge.
+  std::vector<core::CompareSnapshot> checkpoints_;
 
   // Watchdog state.
   bool monitoring_ = true;   ///< false after failover: nothing left to watch

@@ -1,21 +1,17 @@
 // Unit tests for the trusted-component resilience primitives:
 //
-//  * the checkpoint text codec round-trips byte-exactly and rejects torn
-//    or corrupted input (a half-written checkpoint must never restore);
-//  * CompareCore::restore() rebuilds state conservatively — restored
-//    unreleased entries are tainted so their later quorums are suppressed
-//    (at-most-once egress costs bounded gap loss, never a duplicate);
+//  * CompareCore::restore() brings back every field a snapshot holds, and
+//    rebuilds state conservatively — restored unreleased entries are
+//    tainted so their later quorums are suppressed (at-most-once egress
+//    costs bounded gap loss, never a duplicate);
 //  * shadow mode (the warm standby) reaches quorums without emitting, and
 //    promotion can never re-emit an entry the shadow already judged.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "net/headers.h"
 #include "netco/compare_core.h"
-#include "resilience/checkpoint.h"
 
 namespace netco::resilience {
 namespace {
@@ -39,8 +35,7 @@ sim::TimePoint at_ms(std::int64_t ms) {
 }
 
 /// A core with deliberately varied state: a released entry, a pending
-/// 2-vote entry, a singleton, and a quarantined replica — every branch of
-/// the codec gets exercised.
+/// 2-vote entry, a singleton, and a quarantined replica.
 core::CompareCore populated_core() {
   core::CompareCore core(core::CompareConfig{.k = 5});
   const auto released = numbered_packet(1);
@@ -55,177 +50,50 @@ core::CompareCore populated_core() {
   return core;
 }
 
-// --- checkpoint codec ------------------------------------------------------
-
-TEST(Checkpoint, RoundTripIsByteExact) {
-  core::CompareCore core = populated_core();
-  const core::CompareSnapshot snap = core.snapshot(at_ms(7));
-  const std::string text = serialize_snapshot(snap);
-
-  const auto parsed = parse_snapshot(text);
-  ASSERT_TRUE(parsed.has_value());
-  // Serializing the parse must reproduce the original text bit for bit —
-  // writer and parser cannot skew without this test failing.
-  EXPECT_EQ(serialize_snapshot(*parsed), text);
-
-  EXPECT_EQ(parsed->at_ns, snap.at_ns);
-  EXPECT_EQ(parsed->live_mask, snap.live_mask);
-  EXPECT_EQ(parsed->live_count, snap.live_count);
-  EXPECT_EQ(parsed->stats.released, snap.stats.released);
-  EXPECT_EQ(parsed->stats.ingested, snap.stats.ingested);
-  ASSERT_EQ(parsed->entries.size(), snap.entries.size());
-  for (std::size_t i = 0; i < snap.entries.size(); ++i) {
-    EXPECT_EQ(parsed->entries[i].key, snap.entries[i].key);
-    EXPECT_EQ(parsed->entries[i].replica_mask, snap.entries[i].replica_mask);
-    EXPECT_EQ(parsed->entries[i].released, snap.entries[i].released);
-    EXPECT_EQ(parsed->entries[i].payload, snap.entries[i].payload);
-    EXPECT_EQ(parsed->entries[i].first_seen_ns,
-              snap.entries[i].first_seen_ns);
-  }
-}
-
-TEST(Checkpoint, EmptyCoreRoundTrips) {
-  core::CompareCore core(core::CompareConfig{.k = 3});
-  const std::string text = serialize_snapshot(core.snapshot(at_ms(0)));
-  const auto parsed = parse_snapshot(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->entries.empty());
-  EXPECT_EQ(serialize_snapshot(*parsed), text);
-}
-
-TEST(Checkpoint, TornCheckpointRejected) {
-  core::CompareCore core = populated_core();
-  const std::string text = serialize_snapshot(core.snapshot(at_ms(7)));
-
-  // A checkpoint truncated at any line boundary must refuse to parse:
-  // the trailing "end" marker is the commit record.
-  std::size_t pos = text.find('\n');
-  while (pos != std::string::npos && pos + 1 < text.size()) {
-    EXPECT_FALSE(parse_snapshot(text.substr(0, pos + 1)).has_value())
-        << "torn at byte " << pos;
-    pos = text.find('\n', pos + 1);
-  }
-  // Mid-line tears too.
-  EXPECT_FALSE(parse_snapshot(text.substr(0, text.size() / 2)).has_value());
-  EXPECT_FALSE(parse_snapshot("").has_value());
-}
-
-TEST(Checkpoint, CorruptedPayloadRejected) {
-  core::CompareCore core = populated_core();
-  std::string text = serialize_snapshot(core.snapshot(at_ms(7)));
-
-  // Wrong magic.
-  std::string bad = text;
-  bad[0] = 'X';
-  EXPECT_FALSE(parse_snapshot(bad).has_value());
-
-  // Odd-length / non-hex payload on an entry line.
-  const std::size_t e = text.find("\ne ");
-  ASSERT_NE(e, std::string::npos);
-  const std::size_t eol = text.find('\n', e + 1);
-  bad = text;
-  bad.insert(eol, "f");  // odd hex digit count
-  EXPECT_FALSE(parse_snapshot(bad).has_value());
-  bad = text;
-  bad[eol - 1] = 'z';  // not a hex digit
-  EXPECT_FALSE(parse_snapshot(bad).has_value());
-}
-
-TEST(Checkpoint, SampledCountersRoundTrip) {
-  // The §XII fast-path counters ride the stats line (fields 15-17).
-  core::CompareSnapshot snap = populated_core().snapshot(at_ms(7));
-  snap.stats.fastpath_ingested = 41;
-  snap.stats.fastpath_released = 29;
-  snap.stats.sampled_escalated = 3;
-
-  const std::string text = serialize_snapshot(snap);
-  const auto parsed = parse_snapshot(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->stats.fastpath_ingested, 41u);
-  EXPECT_EQ(parsed->stats.fastpath_released, 29u);
-  EXPECT_EQ(parsed->stats.sampled_escalated, 3u);
-  EXPECT_EQ(serialize_snapshot(*parsed), text);
-}
-
-TEST(Checkpoint, TornStatsLineRejectedWhole) {
-  // A stats line torn mid-record — 14 to 16 fields, or trailing garbage —
-  // is not the 17-field shape: the whole checkpoint must refuse to parse,
-  // never restore half a counter block.
-  core::CompareSnapshot snap = populated_core().snapshot(at_ms(7));
-  snap.stats.fastpath_ingested = 41;
-  snap.stats.fastpath_released = 29;
-  snap.stats.sampled_escalated = 3;
-  const std::string text = serialize_snapshot(snap);
-
-  const std::size_t begin = text.find("\nstats ");
-  ASSERT_NE(begin, std::string::npos);
-  const std::size_t eol = text.find('\n', begin + 1);
-  ASSERT_NE(eol, std::string::npos);
-
-  std::size_t cut = eol;
-  for (int dropped = 1; dropped <= 3; ++dropped) {
-    cut = text.rfind(' ', cut - 1);
-    ASSERT_NE(cut, std::string::npos);
-    const std::string torn = text.substr(0, cut) + text.substr(eol);
-    EXPECT_FALSE(parse_snapshot(torn).has_value())
-        << "stats line with " << (17 - dropped) << " fields parsed";
-  }
-
-  std::string garbled = text;
-  garbled[eol - 1] = 'x';  // last counter becomes non-numeric
-  EXPECT_FALSE(parse_snapshot(garbled).has_value());
-}
-
-TEST(Checkpoint, MutationFuzzNeverCrashesAndStaysConsistent) {
-  // Random byte mutations, truncations and line splices over a valid
-  // checkpoint: the parser must never crash, and whenever it does accept
-  // an input, re-serializing the result must itself parse (the writer and
-  // parser stay closed under each other — the property the per-shard
-  // snapshot merge leans on).
-  core::CompareSnapshot snap = populated_core().snapshot(at_ms(7));
-  snap.stats.fastpath_ingested = 41;
-  snap.stats.sampled_escalated = 3;
-  const std::string text = serialize_snapshot(snap);
-  Rng rng(0xC0DEC);
-
-  for (int i = 0; i < 2000; ++i) {
-    std::string mutated = text;
-    switch (rng.uniform_u64(3)) {
-      case 0: {  // flip 1-4 bytes to arbitrary values
-        const int flips = 1 + static_cast<int>(rng.uniform_u64(4));
-        for (int f = 0; f < flips; ++f) {
-          mutated[rng.uniform_u64(mutated.size())] =
-              static_cast<char>(rng.uniform_u64(256));
-        }
-        break;
-      }
-      case 1:  // torn write: truncate at an arbitrary byte
-        mutated.resize(rng.uniform_u64(mutated.size()));
-        break;
-      default: {  // splice: duplicate one line over another
-        const std::size_t a = rng.uniform_u64(mutated.size());
-        const std::size_t from = mutated.rfind('\n', a);
-        const std::size_t to = mutated.find('\n', a);
-        if (to != std::string::npos) {
-          const std::size_t begin = from == std::string::npos ? 0 : from + 1;
-          mutated.insert(begin, mutated.substr(begin, to - begin + 1));
-        }
-        break;
-      }
-    }
-    const auto parsed = parse_snapshot(mutated);
-    if (parsed.has_value()) {
-      EXPECT_TRUE(parse_snapshot(serialize_snapshot(*parsed)).has_value())
-          << "accepted input re-serialized into a rejected checkpoint";
-    }
-  }
-}
-
 // --- restore semantics -----------------------------------------------------
+
+TEST(Restore, SnapshotOfRestoredCoreMatchesCheckpoint) {
+  // A history that moves every snapshot field away from its default, so
+  // a field restore() forgets shows up as a mismatch below.
+  core::CompareCore primary(core::CompareConfig{
+      .k = 5, .rate_limit_packets = 2, .inactivity_threshold = 1});
+  const auto swept = numbered_packet(1);
+  for (int r : {0, 1, 2, 4}) primary.ingest(r, swept, at_ms(1));
+  // Released without replica 3; the sweep finalizes it, and replica 3's
+  // first miss reaches the inactivity threshold.
+  primary.sweep(at_ms(25));
+  primary.set_replica_live(1, false, at_ms(26));
+  primary.set_replica_live(1, true, at_ms(27));  // its live-since mark
+  primary.set_replica_live(2, false, at_ms(28));
+  // Replica 4's third arrival within the rate window flags it for a block;
+  // its two singletons stay pending.
+  primary.ingest(4, numbered_packet(2), at_ms(30));
+  primary.ingest(4, numbered_packet(3), at_ms(31));
+  const auto released = numbered_packet(4);
+  for (int r : {0, 1, 4}) primary.ingest(r, released, at_ms(32));
+
+  const core::CompareSnapshot snap = primary.snapshot();
+  EXPECT_EQ(snap.live_count, 4);
+  EXPECT_EQ(snap.live_since[1], at_ms(27));
+  EXPECT_EQ(snap.missed_streak[3], 1u);
+  EXPECT_TRUE(snap.flagged_inactive[3]);
+  EXPECT_TRUE(snap.flagged_block[4]);
+  ASSERT_EQ(snap.entries.size(), 3u);  // the swept release is gone
+  EXPECT_TRUE(snap.entries.back().released);
+
+  core::CompareCore restarted(primary.config());
+  restarted.restore(snap, at_ms(33));
+
+  core::CompareSnapshot expected = snap;
+  for (core::SnapshotEntry& entry : expected.entries) {
+    if (!entry.released) entry.recovered = true;
+  }
+  EXPECT_EQ(restarted.snapshot(), expected);
+}
 
 TEST(Restore, RebuildsStateConservatively) {
   core::CompareCore primary = populated_core();
-  const core::CompareSnapshot snap = primary.snapshot(at_ms(7));
+  const core::CompareSnapshot snap = primary.snapshot();
 
   core::CompareCore restarted(primary.config());
   restarted.restore(snap, at_ms(10));
@@ -253,7 +121,7 @@ TEST(Restore, RecoveredEntryQuorumIsSuppressed) {
   core::CompareCore primary(core::CompareConfig{.k = 3});
   const auto p = numbered_packet(9);
   EXPECT_FALSE(primary.ingest(0, p, at_ms(0)).has_value());
-  const core::CompareSnapshot snap = primary.snapshot(at_ms(1));
+  const core::CompareSnapshot snap = primary.snapshot();
 
   core::CompareCore restarted(primary.config());
   restarted.restore(snap, at_ms(2));
@@ -274,7 +142,7 @@ TEST(Restore, ReleasedEntryNeverReleasesAgain) {
   const auto p = numbered_packet(11);
   primary.ingest(0, p, at_ms(0));
   EXPECT_TRUE(primary.ingest(1, p, at_ms(0)).has_value());
-  const core::CompareSnapshot snap = primary.snapshot(at_ms(1));
+  const core::CompareSnapshot snap = primary.snapshot();
 
   core::CompareCore restarted(primary.config());
   restarted.restore(snap, at_ms(2));
@@ -289,7 +157,7 @@ TEST(Restore, FreshTrafficAfterRestoreReleasesNormally) {
   // the restart release exactly as on a cold core.
   core::CompareCore primary(core::CompareConfig{.k = 3});
   primary.ingest(0, numbered_packet(1), at_ms(0));
-  const core::CompareSnapshot snap = primary.snapshot(at_ms(1));
+  const core::CompareSnapshot snap = primary.snapshot();
 
   core::CompareCore restarted(primary.config());
   restarted.restore(snap, at_ms(2));
@@ -304,7 +172,7 @@ TEST(Restore, DiscardsPreRestoreState) {
   // before the restore are gone afterwards, so a packet pending pre-crash
   // but absent from the checkpoint needs a full fresh quorum.
   core::CompareCore core(core::CompareConfig{.k = 3});
-  const core::CompareSnapshot empty = core.snapshot(at_ms(0));
+  const core::CompareSnapshot empty = core.snapshot();
 
   const auto p = numbered_packet(21);
   core.ingest(0, p, at_ms(1));
