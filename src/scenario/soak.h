@@ -80,6 +80,8 @@ struct SoakOptions {
 struct SoakResult {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t delivered_unique = 0;
+  /// The circuit's compare.ingested counter less the standby's mirrored
+  /// copies: the primary's ingests, those before a warm restart included.
   std::uint64_t compare_ingested = 0;
   /// The circuit's compare.released counter: every core's releases, a
   /// promoted standby's and those before a warm restart included.

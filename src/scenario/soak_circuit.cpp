@@ -292,17 +292,20 @@ void SoakCircuit::finalize() {
       const core::CompareStats* stats =
           combiner.compare->stats_for(edge->name());
       if (stats == nullptr) continue;
-      result_.compare_ingested += stats->ingested;
       result_.fastpath_released += stats->fastpath_released;
       result_.sampled_escalated += stats->sampled_escalated;
     }
-    // Releases come from the circuit's own counter: every core of the
-    // circuit bumps it, a promoted standby's included, and unlike
-    // CompareStats it does not roll back when a warm restart restores a
-    // checkpoint. Ingests stay primary-only: a standby's are mirrored
-    // copies.
-    result_.compare_released =
-        obs::global().metrics.counter("compare.released").value();
+    // Releases and ingests come from the circuit's own counters: every
+    // core of the circuit bumps them, and unlike CompareStats they do not
+    // roll back when a warm restart restores a checkpoint. Releases count
+    // a promoted standby's too; ingests leave the standby's out, because
+    // its copies are mirrored and a standby never restores.
+    obs::MetricsRegistry& metrics = obs::global().metrics;
+    result_.compare_released = metrics.counter("compare.released").value();
+    result_.compare_ingested = metrics.counter("compare.ingested").value();
+    for (const core::CompareCore* shadow : combiner.shadow_cores) {
+      result_.compare_ingested -= shadow->stats().ingested;
+    }
   }
   result_.trace_records = checker_.records_seen();
   result_.fault_events_applied = injector_->applied();
