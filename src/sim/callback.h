@@ -4,10 +4,11 @@
 // handful of words (`this`, a port index, a COW Packet handle — see
 // src/net/packet.h). `std::function` heap-allocates most of those and
 // requires copyability; Callback stores any nothrow-movable callable up
-// to kInlineBytes directly inside the event record and falls back to one
-// heap allocation only for oversized captures. Together with the
-// generation-slab cancellation scheme in simulator.h this makes
-// scheduling an event allocation-free in the common case.
+// to kInlineBytes inline (the simulator keeps it in the event's slot
+// record) and falls back to one heap allocation only for oversized
+// captures. Together with the generation-slab cancellation scheme in
+// simulator.h this makes scheduling an event allocation-free in the
+// common case.
 #pragma once
 
 #include <cstddef>

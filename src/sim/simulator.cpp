@@ -39,20 +39,23 @@ Simulator::Simulator(std::uint64_t seed)
 EventHandle Simulator::schedule_at(TimePoint at, Callback fn) {
   NETCO_ASSERT_MSG(at >= now_, "cannot schedule events in the past");
   NETCO_ASSERT(static_cast<bool>(fn));
+  detail::CancelSlab& slab = *slab_;
   // Cancel-heavy workloads (probe churn, failover rewires) retire events
   // faster than they pop: purge the debt once tombstones outnumber live
   // events, so the raw heap stays within 2x the live population (plus the
   // floor) no matter how hot the cancellation path runs.
   if (queue_.size() >= kCompactionFloor &&
-      queue_.size() - slab_->live > slab_->live) {
+      queue_.size() - slab.live > slab.live) {
     compact();
   }
-  const std::uint32_t slot = slab_->acquire();
-  const std::uint64_t generation = slab_->generation[slot];
-  ++slab_->live;
-  queue_.push_back(Event{at, next_seq_++, generation, slot, std::move(fn)});
+  const std::uint32_t slot = slab.acquire();
+  detail::CancelSlab::Record& record = slab.records[slot];
+  record.armed = record.generation;
+  record.fn = std::move(fn);
+  ++slab.live;
+  queue_.push_back(Key{at, next_seq_++, slot});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
-  return EventHandle{slab_, slot, generation};
+  return EventHandle{slab_, slot, record.generation};
 }
 
 EventHandle Simulator::schedule_after(Duration delay, Callback fn) {
@@ -61,10 +64,11 @@ EventHandle Simulator::schedule_after(Duration delay, Callback fn) {
 }
 
 void Simulator::compact() {
-  const auto keep_end = std::remove_if(
-      queue_.begin(), queue_.end(), [this](const Event& event) {
-        if (slab_->matches(event.slot, event.generation)) return false;
-        slab_->release(event.slot);
+  detail::CancelSlab& slab = *slab_;
+  const auto keep_end =
+      std::remove_if(queue_.begin(), queue_.end(), [&slab](const Key& key) {
+        if (!slab.cancelled(key.slot)) return false;
+        slab.release(key.slot);
         return true;
       });
   queue_.erase(keep_end, queue_.end());
@@ -75,30 +79,31 @@ void Simulator::compact() {
 }
 
 bool Simulator::step(TimePoint deadline) {
+  detail::CancelSlab& slab = *slab_;
   while (!queue_.empty()) {
-    const Event& top = queue_.front();
-    if (!slab_->matches(top.slot, top.generation)) {
+    const Key top = queue_.front();
+    if (slab.cancelled(top.slot)) {
       // Tombstone: cancelled while queued. Purge regardless of deadline —
       // it will never run, and draining the run now keeps the queue lean.
-      const std::uint32_t slot = top.slot;
       std::pop_heap(queue_.begin(), queue_.end(), Later{});
       queue_.pop_back();
-      slab_->release(slot);
+      slab.release(top.slot);
       continue;
     }
     if (top.at > deadline) return false;
-    // Move the event out before running: the callback may schedule more
-    // events and reallocate the underlying heap.
     std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    Event event = std::move(queue_.back());
     queue_.pop_back();
+    // Move the callback out before running: it may schedule more events
+    // and reallocate the records.
+    detail::CancelSlab::Record& record = slab.records[top.slot];
+    Callback fn = std::move(record.fn);
     // Fired: handles must stop reporting pending, and the slot recycles.
-    ++slab_->generation[event.slot];
-    slab_->release(event.slot);
-    --slab_->live;
-    now_ = event.at;
+    ++record.generation;
+    slab.release(top.slot);
+    --slab.live;
+    now_ = top.at;
     ++executed_;
-    event.fn();
+    fn();
     return true;
   }
   return false;

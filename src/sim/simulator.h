@@ -6,10 +6,12 @@
 // seed and event program.
 //
 // Hot-path design: scheduling an event performs zero heap allocations in
-// the common case. The callback lives inline in the event record (see
-// sim/callback.h), and cancellation is a generation counter in a slab the
-// simulator owns — an EventHandle is (slab, slot, generation), and a
-// cancelled or fired event simply stops matching its slot's generation.
+// the common case. The binary heap orders 24-byte (time, seq, slot) keys;
+// each event's callback (see sim/callback.h) stays put in the slot record
+// of a slab the simulator owns, next to the slot's generation counter, so
+// a sift step moves a key and never relocates a callback. Cancellation is
+// that generation counter: an EventHandle is (slab, slot, generation), and
+// a cancelled or fired event simply stops matching its slot's generation.
 // Cancelled events stay in the heap as tombstones until they reach the
 // top, where they are purged without executing — unless the tombstone
 // debt outgrows the live population, in which case a compaction pass
@@ -37,12 +39,21 @@ namespace netco::sim {
 
 namespace detail {
 
-/// Cancellation slab: one generation counter per event slot. A scheduled
-/// event and its handles agree on (slot, generation); bumping the counter
-/// invalidates both. Slots are recycled through a free list, so a
-/// simulator's steady state performs no allocation per event.
+/// Slot slab: one record per event slot, holding the slot's generation
+/// counter and its queued event's callback. A scheduled event and its
+/// handles agree on (slot, generation); bumping the counter invalidates
+/// both. Slots are recycled through a free list, so a simulator's steady
+/// state performs no allocation per event.
 struct CancelSlab {
-  std::vector<std::uint64_t> generation;
+  struct Record {
+    std::uint64_t generation = 0;
+    /// The generation the queued event was armed under; it differs from
+    /// `generation` once the event is cancelled (a tombstone).
+    std::uint64_t armed = 0;
+    /// The queued event's callback; empty while the slot is free.
+    Callback fn;
+  };
+  std::vector<Record> records;
   std::vector<std::uint32_t> free_slots;
   std::size_t live = 0;  ///< scheduled, not yet cancelled or fired
   /// Owning thread when the simulator runs as a shard (sim/shard.h);
@@ -64,25 +75,34 @@ struct CancelSlab {
       free_slots.pop_back();
       return slot;
     }
-    generation.push_back(0);
-    return static_cast<std::uint32_t>(generation.size() - 1);
+    records.emplace_back();
+    return static_cast<std::uint32_t>(records.size() - 1);
   }
 
   /// True while (slot, gen) names a scheduled, uncancelled event.
   [[nodiscard]] bool matches(std::uint32_t slot,
                              std::uint64_t gen) const noexcept {
-    return generation[slot] == gen;
+    return records[slot].generation == gen;
+  }
+
+  /// True once the event queued in `slot` was cancelled (a tombstone).
+  [[nodiscard]] bool cancelled(std::uint32_t slot) const noexcept {
+    return records[slot].generation != records[slot].armed;
   }
 
   /// Invalidates (slot, gen); returns false if it already was.
   bool invalidate(std::uint32_t slot, std::uint64_t gen) noexcept {
     if (!matches(slot, gen)) return false;
-    ++generation[slot];
+    ++records[slot].generation;
     return true;
   }
 
-  /// Returns a slot to the free list once its event left the queue.
-  void release(std::uint32_t slot) { free_slots.push_back(slot); }
+  /// Returns a slot to the free list once its event left the queue. A
+  /// tombstone's callback is destroyed here; a fired one was moved out.
+  void release(std::uint32_t slot) {
+    records[slot].fn = Callback{};
+    free_slots.push_back(slot);
+  }
 };
 
 }  // namespace detail
@@ -184,15 +204,15 @@ class Simulator {
   }
 
  private:
-  struct Event {
+  /// A queued event's heap key; its callback waits in the slot's record.
+  struct Key {
     TimePoint at;
     std::uint64_t seq;
-    std::uint64_t generation;
     std::uint32_t slot;
-    Callback fn;
   };
+  static_assert(sizeof(Key) == 24);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
@@ -213,9 +233,10 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::uint64_t compactions_ = 0;
   bool stopped_ = false;
-  /// Binary heap ordered by Later (std::push_heap/pop_heap). A raw vector
-  /// rather than std::priority_queue so compact() can rebuild it in place.
-  std::vector<Event> queue_;
+  /// Binary heap of keys ordered by Later (std::push_heap/pop_heap). A raw
+  /// vector rather than std::priority_queue so compact() can rebuild it in
+  /// place.
+  std::vector<Key> queue_;
   std::shared_ptr<detail::CancelSlab> slab_;
   Rng rng_;
 };

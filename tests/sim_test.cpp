@@ -1,12 +1,16 @@
 // Unit tests for the discrete-event simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -307,6 +311,235 @@ TEST(Simulator, CompactionPreservesExecutionOrder) {
   EXPECT_GE(storm_compactions, 1u);
   EXPECT_EQ(quiet_order, storm_order)
       << "heap rebuild perturbed the (at, seq) pop order";
+}
+
+TEST(Simulator, CallbackSurvivesTheRecordGrowthItCauses) {
+  // The callback grows the slot records (4096 schedules from a handful
+  // of slots) and then reads its inline captures. Were it run in place
+  // from its record, the reads would hit the freed old buffer, which
+  // asan-ubsan reports as a heap-use-after-free.
+  Simulator sim;
+  const std::uint64_t a = 0xA1A1;
+  const std::uint64_t b = 0xB2B2;
+  const std::uint64_t c = 0xC3C3;
+  std::uint64_t seen = 0;
+  sim.schedule_after(Duration::milliseconds(1), [&sim, &seen, a, b, c] {
+    for (int i = 0; i < 4096; ++i) {
+      sim.schedule_after(Duration::milliseconds(1), [] {});
+    }
+    seen = a ^ b ^ c;
+  });
+  sim.run_until(TimePoint::origin() + Duration::milliseconds(1));
+  EXPECT_EQ(seen, a ^ b ^ c);
+  EXPECT_EQ(sim.events_pending(), 4096u);
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 4097u);
+}
+
+TEST(Simulator, EachCallbackIsDestroyedExactlyOnce) {
+  // Every callback holds one reference to `token`, so use_count() - 1 is
+  // the number of callbacks still alive. A double destroy would drop it
+  // below the count of live callbacks; a leak would keep it above.
+  const auto token = std::make_shared<int>(0);
+  std::array<std::uint64_t, 16> big{};  // past the inline budget: heap path
+  static_assert(sizeof(big) > Callback::kInlineBytes);
+  {
+    Simulator sim;
+    long during = 0;
+    sim.schedule_after(Duration::milliseconds(1),
+                       [token, &during] { during = token.use_count(); });
+    EXPECT_EQ(token.use_count(), 2);
+    sim.run();
+    EXPECT_EQ(during, 2) << "the firing callback was destroyed before it ran";
+    EXPECT_EQ(token.use_count(), 1) << "not destroyed after firing";
+
+    EventHandle cancelled =
+        sim.schedule_after(Duration::milliseconds(1), [token] {});
+    cancelled.cancel();
+    EXPECT_EQ(token.use_count(), 2) << "the tombstone holds its callback";
+    sim.run();
+    EXPECT_EQ(token.use_count(), 1) << "not destroyed when its tombstone popped";
+
+    std::vector<EventHandle> doomed;
+    for (int i = 0; i < 64; ++i) {
+      doomed.push_back(
+          sim.schedule_after(Duration::seconds(1), [token, big] {}));
+    }
+    EXPECT_EQ(token.use_count(), 65);
+    for (EventHandle& handle : doomed) handle.cancel();
+    sim.schedule_after(Duration::seconds(2), [] {});  // trips compact()
+    EXPECT_EQ(sim.compactions(), 1u);
+    EXPECT_EQ(sim.queue_size(), 1u);
+    EXPECT_EQ(token.use_count(), 1) << "not destroyed when compact() dropped it";
+
+    sim.schedule_after(Duration::seconds(3), [token] {});
+    sim.schedule_after(Duration::seconds(3), [token, big] {});
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1)
+      << "pending callbacks not destroyed with the simulator";
+}
+
+// Reference scheduler for the differential test: a std::map keyed by
+// (at, seq) pops in exactly the order the simulator promises.
+class ReferenceEngine {
+ public:
+  std::function<void(std::uint32_t)> on_fire;
+
+  [[nodiscard]] std::int64_t now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+
+  void schedule(std::int64_t at, std::uint32_t id) {
+    const Key key{at, next_seq_++};
+    queue_.emplace(key, id);
+    key_of_.emplace(id, key);
+  }
+
+  void cancel(std::uint32_t id) {
+    const auto it = key_of_.find(id);
+    if (it == key_of_.end()) return;
+    queue_.erase(it->second);
+    key_of_.erase(it);
+  }
+
+  void run_until(std::int64_t deadline) {
+    while (!queue_.empty() && queue_.begin()->first.first <= deadline) {
+      const auto [key, id] = *queue_.begin();
+      queue_.erase(queue_.begin());
+      key_of_.erase(id);
+      now_ = key.first;
+      on_fire(id);
+    }
+    now_ = deadline;
+  }
+
+ private:
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  std::map<Key, std::uint32_t> queue_;
+  std::map<std::uint32_t, Key> key_of_;
+  std::uint64_t next_seq_ = 0;
+  std::int64_t now_ = 0;
+};
+
+class SimulatorEngine {
+ public:
+  std::function<void(std::uint32_t)> on_fire;
+
+  [[nodiscard]] std::int64_t now() const { return sim_.now().ns(); }
+  [[nodiscard]] std::size_t pending() const { return sim_.events_pending(); }
+  [[nodiscard]] std::uint64_t compactions() const {
+    return sim_.compactions();
+  }
+
+  void schedule(std::int64_t at, std::uint32_t id) {
+    if (handles_.size() <= id) handles_.resize(id + 1);
+    handles_[id] = sim_.schedule_at(TimePoint::from_ns(at),
+                                    [this, id] { on_fire(id); });
+  }
+
+  void cancel(std::uint32_t id) { handles_[id].cancel(); }
+
+  void run_until(std::int64_t deadline) {
+    sim_.run_until(TimePoint::from_ns(deadline));
+  }
+
+ private:
+  Simulator sim_;
+  /// Indexed by event id. A fired or cancelled event's handle stays here,
+  /// so later cancels aim stale handles at recycled slots.
+  std::vector<EventHandle> handles_;
+};
+
+// A seeded random program of schedules and cancels, at the top level and
+// from inside callbacks. Both engines draw the same random stream as long
+// as they fire events in the same order.
+template <typename Engine>
+class RandomProgram {
+ public:
+  explicit RandomProgram(std::uint64_t seed) : rng_(seed) {
+    engine_.on_fire = [this](std::uint32_t id) { fire(id); };
+  }
+
+  /// Schedules a batch at mixed horizons, cancels recent ids (about as
+  /// many as it scheduled, enough to trip compact()), then runs the clock
+  /// forward.
+  void round() {
+    const auto batch = rng_.uniform_u64(160);
+    for (std::uint64_t i = 0; i < batch; ++i) schedule_new();
+    const auto cancels = rng_.uniform_u64(2 * batch + 1);
+    for (std::uint64_t i = 0; i < cancels; ++i) cancel_recent();
+    engine_.run_until(engine_.now() + rng_.uniform_i64(0, 400));
+  }
+
+  [[nodiscard]] const std::vector<std::uint32_t>& order() const {
+    return order_;
+  }
+  [[nodiscard]] const Engine& engine() const { return engine_; }
+
+ private:
+  void schedule_new() {
+    // Same-instant ties, near events and far ones.
+    const std::int64_t horizon = rng_.chance(0.2) ? 0 : rng_.uniform_i64(0, 900);
+    engine_.schedule(engine_.now() + horizon, next_id_++);
+  }
+
+  void cancel_recent() {
+    // Recent ids: pending ones, fired ones (a no-op) and ones whose slot
+    // already holds a newer event (a stale handle; also a no-op).
+    const std::uint32_t window = std::min<std::uint32_t>(next_id_, 200);
+    if (window == 0) return;
+    engine_.cancel(next_id_ - 1 -
+                   static_cast<std::uint32_t>(rng_.uniform_u64(window)));
+  }
+
+  void fire(std::uint32_t id) {
+    order_.push_back(id);
+    if (next_id_ >= kMaxEvents) return;
+    switch (rng_.uniform_u64(6)) {
+      case 0:
+      case 1:
+        schedule_new();
+        break;
+      case 2:
+        cancel_recent();
+        break;
+      case 3:
+        // Reuses the slot this event just vacated, then aims this event's
+        // stale handle at it: the new event must survive.
+        schedule_new();
+        engine_.cancel(id);
+        break;
+      case 4:
+        schedule_new();
+        engine_.cancel(next_id_ - 1);
+        break;
+      default:
+        break;
+    }
+  }
+
+  static constexpr std::uint32_t kMaxEvents = 20000;
+  Engine engine_;
+  Rng rng_;
+  std::vector<std::uint32_t> order_;
+  std::uint32_t next_id_ = 0;
+};
+
+TEST(Simulator, MatchesReferenceQueueOnRandomPrograms) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    RandomProgram<SimulatorEngine> sim(seed);
+    RandomProgram<ReferenceEngine> reference(seed);
+    for (int round = 0; round < 60; ++round) {
+      sim.round();
+      reference.round();
+      ASSERT_EQ(sim.order(), reference.order())
+          << "seed " << seed << " round " << round;
+      ASSERT_EQ(sim.engine().pending(), reference.engine().pending())
+          << "seed " << seed << " round " << round;
+    }
+    EXPECT_GE(sim.engine().compactions(), 1u)
+        << "seed " << seed << " never exercised compact()";
+  }
 }
 
 }  // namespace
