@@ -102,20 +102,23 @@ std::vector<double> default_queue_depth_buckets() {
   return out;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+Counter& MetricsRegistry::counter(std::string_view name) {
+  auto it = counters_.lower_bound(name);
+  if (it == counters_.end() || it->first != name) {
+    it = counters_.emplace_hint(it, name, std::make_unique<Counter>());
+  }
+  return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
+Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> upper_bounds) {
-  auto& slot = histograms_[name];
-  if (!slot) {
+  auto it = histograms_.lower_bound(name);
+  if (it == histograms_.end() || it->first != name) {
     if (upper_bounds.empty()) upper_bounds = default_latency_buckets_us();
-    slot = std::make_unique<Histogram>(std::move(upper_bounds));
+    it = histograms_.emplace_hint(
+        it, name, std::make_unique<Histogram>(std::move(upper_bounds)));
   }
-  return *slot;
+  return *it->second;
 }
 
 std::string MetricsRegistry::to_json() const {

@@ -13,9 +13,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace netco::obs {
@@ -83,12 +85,12 @@ class Histogram {
 class MetricsRegistry {
  public:
   /// Returns the counter registered under `name`, creating it on first use.
-  Counter& counter(const std::string& name);
+  Counter& counter(std::string_view name);
 
   /// Returns the histogram registered under `name`, creating it with
   /// `upper_bounds` (or the default latency buckets when empty) on first
   /// use. Later calls ignore `upper_bounds`.
-  Histogram& histogram(const std::string& name,
+  Histogram& histogram(std::string_view name,
                        std::vector<double> upper_bounds = {});
 
   /// Canonical JSON object: {"counters":{...},"histograms":{...}}.
@@ -103,9 +105,10 @@ class MetricsRegistry {
 
  private:
   // std::map: sorted iteration makes to_json() canonical; unique_ptr keeps
-  // instrument addresses stable across rehash-free inserts.
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  // instrument addresses stable across rehash-free inserts. std::less<>
+  // looks a name up without building a std::string from it.
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 }  // namespace netco::obs
