@@ -188,7 +188,8 @@ int main() {
 
   std::string configs = "[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    configs += (i == 0 ? "" : ",") + cell_json(cells[i]);
+    if (i != 0) configs += ',';
+    configs += cell_json(cells[i]);
   }
   configs += "]";
   char head[256];

@@ -203,8 +203,8 @@ int main() {
           r.wl_fct_p50_ms, r.wl_fct_p95_ms, r.wl_fct_p99_ms,
           static_cast<unsigned long long>(r.wl_flows_completed),
           r.ok() ? "" : "FAIL");
-      points_json += (first_point ? "" : ",") +
-                     point_json(point, duration_seconds, payload_bytes);
+      if (!first_point) points_json += ',';
+      points_json += point_json(point, duration_seconds, payload_bytes);
       first_point = false;
     }
     points_json += "]";

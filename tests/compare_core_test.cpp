@@ -17,6 +17,7 @@
 
 #include <vector>
 
+#include "common/fmt.h"
 #include "common/rng.h"
 #include "net/headers.h"
 #include "netco/compare_core.h"
@@ -526,9 +527,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyParam{7, CompareMode::kFullPacket, 7},
                       PropertyParam{9, CompareMode::kFullPacket, 8}),
     [](const ::testing::TestParamInfo<PropertyParam>& pinfo) {
-      return "k" + std::to_string(pinfo.param.k) + "_mode" +
-             std::to_string(static_cast<int>(pinfo.param.mode)) + "_seed" +
-             std::to_string(pinfo.param.seed);
+      return fmt("k{}_mode{}_seed{}", pinfo.param.k,
+                 static_cast<int>(pinfo.param.mode), pinfo.param.seed);
     });
 
 // Construction-time fleet-size validation: replica ids must fit the

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "adversary/behaviors.h"
+#include "common/fmt.h"
 #include "common/rng.h"
 #include "host/ping.h"
 #include "host/udp_app.h"
@@ -125,8 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
                       E2eParam{5, 22}, E2eParam{5, 23}, E2eParam{5, 24},
                       E2eParam{5, 25}),
     [](const ::testing::TestParamInfo<E2eParam>& pinfo) {
-      return "k" + std::to_string(pinfo.param.k) + "_seed" +
-             std::to_string(pinfo.param.seed);
+      return fmt("k{}_seed{}", pinfo.param.k, pinfo.param.seed);
     });
 
 }  // namespace
